@@ -1,7 +1,7 @@
 """Presentations of transversal matroids and their extension lattices."""
 
 from .core import (GroundSet, SetSystem, SubsetLattice, make_system,
-                   parse_lattice, parse_presentation, serialize, support)
+                   parse_lattice, parse_presentation, serialize)
 from .matching import Matching, is_independent, max_matching, rank
 from .matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                       principal_extension, transversal_presentation)

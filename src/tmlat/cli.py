@@ -148,15 +148,13 @@ def cmd_irreducibles(args) -> int:
 
 
 def cmd_construct_maximal(args) -> int:
-    raw = parse_lattice(_read(args.file))
-    lat = validate_lattice(raw.members, raw.r)
+    lat = parse_lattice(_read(args.file))
     _emit(presentation_doc(build_maximal_presentation(lat)))
     return 0
 
 
 def cmd_construct_uniform(args) -> int:
-    raw = parse_lattice(_read(args.file))
-    lat = validate_lattice(raw.members, raw.r)
+    lat = parse_lattice(_read(args.file))
     _emit(presentation_doc(build_uniform_presentation(lat, args.n)))
     return 0
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import matching
-from .core import GroundSet, SetSystem, SubsetLattice, bit_indices, family_key
+from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices, closed_sets,
+                   family_key, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -156,8 +157,7 @@ def ideals_of_poset(points: int, less) -> SubsetLattice:
     for j in range(points):
         if below[j] & (1 << j):
             raise ValueError("relation is not a partial order (cycle)")
-    members = []
-    for m in range(1 << points):
-        if all(below[j] & ~m == 0 for j in bit_indices(m)):
-            members.append(m)
-    return SubsetLattice(points, frozenset(members))
+    # A down-set holds no j above an index k it leaves out.
+    above = [mask_of(j for j in range(points) if below[j] & (1 << k))
+             for k in range(points)]
+    return SubsetLattice(points, frozenset(closed_sets(above)))

@@ -48,6 +48,26 @@ def family_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def closed_sets(reach) -> list[int]:
+    """The subsets I of ``[r]`` with ``I & reach[k] == 0`` for every k not in I.
+
+    Here r = len(reach); all 2^r subsets are walked in ascending order.
+    """
+    r = len(reach)
+    full = (1 << r) - 1
+    members = []
+    for iset in range(1 << r):
+        rest = full & ~iset
+        closed = True
+        for k in bit_indices(rest):
+            if iset & reach[k]:
+                closed = False
+                break
+        if closed:
+            members.append(iset)
+    return members
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Interned element labels with a fixed index order."""
@@ -126,22 +146,19 @@ def make_system(names, sets_of_labels) -> SetSystem:
     return SetSystem(ground, tuple(ground.mask(s) for s in sets_of_labels))
 
 
-def support(system: SetSystem, x_mask: int) -> int:
-    return system.support(x_mask)
-
-
 @dataclass(frozen=True)
 class SubsetLattice:
-    """A family of subsets of ``[r]`` with declared closure promises.
+    """A family of subsets of ``[r]``, read as a lattice under containment.
 
-    ``closed_under`` names the operations the family is promised to be
-    closed under; construction verifies the promises (skipped for very
-    large families, which only arise from proven-closed scans).
+    Closure under union and intersection is the producer's promise and
+    is not checked here: the package's own constructions are closed by
+    the theorems they implement, and families read from outside go
+    through ``constructions.validate_lattice``.  Construction only checks
+    that ``r`` and every member lie in range.
     """
 
     r: int
     members: frozenset[int]
-    closed_under: tuple[str, ...] = ("union", "intersection")
 
     def __post_init__(self):
         if self.r < 0 or self.r > MAX_SETS:
@@ -150,16 +167,6 @@ class SubsetLattice:
         for m in self.members:
             if m & ~full:
                 raise ValueError("member outside the index range")
-        if len(self.members) <= 4096:
-            mem = self.members
-            for a in mem:
-                for b in mem:
-                    if "union" in self.closed_under and (a | b) not in mem:
-                        raise ValueError(
-                            f"family not closed under union: {a:#x} | {b:#x}")
-                    if "intersection" in self.closed_under and (a & b) not in mem:
-                        raise ValueError(
-                            f"family not closed under intersection: {a:#x} & {b:#x}")
 
     def __len__(self):
         return len(self.members)
@@ -261,7 +268,7 @@ def parse_lattice(text) -> SubsetLattice:
                 raise ValueError(f"index {i} outside 1..{r}")
             m |= 1 << (i - 1)
         members.add(m)
-    return SubsetLattice(r, frozenset(members), closed_under=())
+    return SubsetLattice(r, frozenset(members))
 
 
 def presentation_doc(system: SetSystem) -> dict:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matching
-from .core import (SetSystem, GroundSet, SubsetLattice, bit_indices, family_key,
-                   intersection_closure)
+from .core import (SetSystem, GroundSet, SubsetLattice, bit_indices, closed_sets,
+                   family_key, intersection_closure)
 from .matroid import Matroid
 from .presentations import is_maximal, require_full_rank
 
@@ -89,17 +89,7 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
     if r > SCAN_LIMIT:
         raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
     reach = [rm for _, rm in matching.deletion_reach(system)]
-    members = []
-    for iset in range(1 << r):
-        rest = system.full_index_mask & ~iset
-        closed = True
-        for k in bit_indices(rest):
-            if iset & reach[k]:
-                closed = False
-                break
-        if closed:
-            members.append(iset)
-    return SubsetLattice(r, frozenset(members))
+    return SubsetLattice(r, frozenset(closed_sets(reach)))
 
 
 def tight_supports(system: SetSystem) -> SubsetLattice:
@@ -126,7 +116,7 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
                                      for i, a in enumerate(system.sets)))
         if matching.rank(restricted, inside) == k_mask.bit_count():
             members.append(k_mask)
-    return SubsetLattice(r, frozenset(members), closed_under=("union",))
+    return SubsetLattice(r, frozenset(members))
 
 
 def extension_lattice_from_supports(system: SetSystem) -> SubsetLattice:
@@ -146,7 +136,7 @@ def cyclic_flat_supports(system: SetSystem) -> SubsetLattice:
     m = Matroid.from_system(system)
     members = {system.support(f) for f in m.cyclic_flats()}
     members.add(system.full_index_mask)
-    return SubsetLattice(system.r, frozenset(members), closed_under=())
+    return SubsetLattice(system.r, frozenset(members))
 
 
 @dataclass(frozen=True)

@@ -75,16 +75,6 @@ def is_independent(system: SetSystem, x_mask: int) -> bool:
     return rank(system, x_mask) == x_mask.bit_count()
 
 
-def augments(system: SetSystem, owner: dict[int, int], adjacency: int) -> bool:
-    """Would a fresh element with the given adjacency enlarge ``owner``?
-
-    ``owner`` is not modified.
-    """
-    sup = element_supports(system)
-    trial = dict(owner)
-    return _augment_rec(sup, trial, -1, adjacency, [0])
-
-
 def reach_mask(system: SetSystem, owner: dict[int, int]) -> int:
     """Set indices from which an alternating path reaches a free set.
 

@@ -23,7 +23,7 @@ from .presentations import (cover_chain, is_minimal, maximalize,
                             removable_pairs, addable_pairs, _with_bit)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, first_occurrence,
-                            ideals_of_poset)
+                            ideals_of_poset, validate_lattice)
 
 CENSUS_LIMIT = 4  # the census walks 2^(2^r) generator families
 
@@ -151,21 +151,6 @@ def closed_family_table(r: int) -> tuple[int, ...]:
         rest = fam ^ low
         table[fam] = _add_member(table[rest], low.bit_length() - 1, full)
     return tuple(table)
-
-
-def union_intersection_closure(members, r: int) -> frozenset[int]:
-    """Generic fixpoint closure; the oracle for the table above."""
-    fam = set(members)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(fam):
-            for b in list(fam):
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return frozenset(fam)
 
 
 @lru_cache(maxsize=8)
@@ -437,6 +422,14 @@ def _indices(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in bit_indices(mask)) + "}"
 
 
+def _check_closed(rep: VerdictReport, lat: SubsetLattice, where: str) -> None:
+    """Record a failure unless ``lat`` is a lattice of index sets."""
+    try:
+        validate_lattice(lat.members, lat.r)
+    except ValueError as exc:
+        rep.fail(f"{where}: {exc}")
+
+
 def check_charmin(r: int = 4, n: int = 8, trials: int = 200,
                   seed: int = 20240406) -> VerdictReport:
     """Minimality of a presentation is equivalent to a full powerset lattice.
@@ -453,6 +446,7 @@ def check_charmin(r: int = 4, n: int = 8, trials: int = 200,
         system = random_presentation(rr, nn, density=rng.uniform(0.3, 0.9), rng=rng)
         rep.instances += 1
         lat = extlattice.extension_lattice(system)
+        _check_closed(rep, lat, f"trial {t}: extension lattice")
         if is_minimal(system) != (len(lat) == 1 << rr):
             rep.fail(f"trial {t}: minimality vs lattice size on {system.set_labels()}")
         gen = extlattice.extension_lattice_from_supports(system)
@@ -526,6 +520,11 @@ def check_threequarters(r: int = 4, trials: int = 30,
     return rep
 
 
+def _check_common_closed(rep: VerdictReport, common, where: str) -> None:
+    _check_closed(rep, common.lattice_ab, f"{where}: lattice_ab")
+    _check_closed(rep, common.lattice_ba, f"{where}: lattice_ba")
+
+
 def check_intersection(r: int = 4, trials: int = 50,
                        seed: int = 20240406) -> VerdictReport:
     """Common extensions of two genuinely different presentations."""
@@ -540,13 +539,16 @@ def check_intersection(r: int = 4, trials: int = 50,
     if reindexing_equivalent(a, b):
         rep.fail("sharp pair is a reindexing")
     common = extlattice.common_extension_lattice(a, b)
+    _check_common_closed(rep, common, "sharp pair")
     if len(common.lattice_ab) != bound:
         rep.fail(f"sharp pair: {len(common.lattice_ab)} common extensions, "
                  f"expected {bound}")
 
     a2, b2 = disjoint_support_pair(min(r, 4))
     rep.instances += 1
-    if len(extlattice.common_extension_lattice(a2, b2).lattice_ab) != 2:
+    common = extlattice.common_extension_lattice(a2, b2)
+    _check_common_closed(rep, common, "disjoint-support pair")
+    if len(common.lattice_ab) != 2:
         rep.fail("disjoint-support pair shares more than the trivial extensions")
 
     rng = random.Random(seed)
@@ -562,6 +564,7 @@ def check_intersection(r: int = 4, trials: int = 50,
         done += 1
         rep.instances += 1
         common = extlattice.common_extension_lattice(system, other)
+        _check_common_closed(rep, common, f"pair #{done}")
         if len(common.lattice_ab) > bound:
             rep.fail(f"pair #{done}: {len(common.lattice_ab)} > {bound}")
         order = dict(common.pairs)

@@ -1,8 +1,9 @@
-"""Independent brute-force oracles for the matching and rank layers.
+"""Independent brute-force oracles for the matching, rank and closure layers.
 
 These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
-counting condition on every subset.
+counting condition on every subset.  Family closure is a plain
+fixpoint over all pairs.
 """
 
 from tmlat.core import bit_indices, submasks
@@ -29,3 +30,18 @@ def counting_independent(system, x_mask):
         if system.support(z).bit_count() < z.bit_count():
             return False
     return True
+
+
+def union_intersection_closure(members, r: int) -> frozenset[int]:
+    """Generic fixpoint closure under pairwise union and intersection."""
+    fam = set(members)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(fam):
+            for b in list(fam):
+                for c in (a | b, a & b):
+                    if c not in fam:
+                        fam.add(c)
+                        changed = True
+    return frozenset(fam)

@@ -186,8 +186,9 @@ def test_criterion_08_common_extension_sweep():
                                      density=rng.uniform(0.4, 0.9), rng=rng)
         other = presentation_walk(system, rng.randint(1, 4), rng)
         done += 1
-        # construction validates union/intersection closure and |I| == |J|
         common = common_extension_lattice(system, other)
+        for lat in (common.lattice_ab, common.lattice_ba):
+            validate_lattice(lat.members, lat.r)
         order = dict(common.pairs)
         for i1 in common.lattice_ab.members:
             for i2 in common.lattice_ab.members:

@@ -212,3 +212,29 @@ def test_intersect_different_matroids_exits_3(capsys, tmp_path):
          "sets": [["a", "b"], ["a", "b"], ["c", "d"]]}))
     code, _, err = run(capsys, "intersect", path("u34_first.json"), str(other))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],
+                                  ["construct-uniform", "--n", "7"]])
+def test_non_closed_lattice_exits_3(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"r": 3, "sets": [[], [1, 2], [2, 3], [1, 2, 3]]}')
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "intersection" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_non_closed_common_lattice_exits_1(capsys, monkeypatch):
+    from tmlat.core import SubsetLattice
+    from tmlat.extlattice import CommonExtensions
+
+    def not_closed(a, b):
+        fam = frozenset([0, 0b011, 0b110, a.full_index_mask])
+        return CommonExtensions(SubsetLattice(a.r, fam), SubsetLattice(b.r, fam),
+                                tuple((m, m) for m in sorted(fam)))
+
+    monkeypatch.setattr("tmlat.extlattice.common_extension_lattice", not_closed)
+    code, out, _ = run(capsys, "verify", "intersection", "--trials", "1")
+    assert code == 1
+    assert "FAIL sharp pair: lattice_ab: union of" in out

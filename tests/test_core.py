@@ -101,18 +101,8 @@ def test_serialize_lattice_canonical_order():
 
 
 def test_serialize_single_empty_member():
-    lat = SubsetLattice(3, frozenset([0]), closed_under=())
+    lat = SubsetLattice(3, frozenset([0]))
     assert json.loads(serialize(lat)) == {"r": 3, "sets": [[]]}
-
-
-def test_lattice_closure_validation():
-    SubsetLattice(2, frozenset([0b00, 0b01, 0b11]))
-    with pytest.raises(ValueError):
-        SubsetLattice(2, frozenset([0b01, 0b10]))  # union missing
-    # declared union-only: the missing intersection is fine
-    SubsetLattice(2, frozenset([0b01, 0b10, 0b11]), closed_under=("union",))
-    with pytest.raises(ValueError):
-        SubsetLattice(2, frozenset([0b01, 0b10, 0b11]))
 
 
 def test_intersection_closure():

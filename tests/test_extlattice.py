@@ -149,7 +149,9 @@ def test_tight_supports_against_direct_enumeration(threelines_maximal,
             s = system.support(x)
             if s.bit_count() == m.rank(x):
                 direct.add(s)
-        assert tight_supports(system).members == direct
+        tight = tight_supports(system).members
+        assert tight == direct
+        assert all((a | b) in tight for a in tight for b in tight)
 
 
 def test_minimal_presentation_gives_powerset(u34_minimal):
