@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import extlattice, matching, verify
-from .core import (SetSystem, bit_indices, lattice_doc, parse_lattice,
+from .core import (SetSystem, index_list, lattice_doc, parse_lattice,
                    parse_presentation, presentation_doc)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
@@ -37,23 +37,26 @@ def _load_presentation(path: str) -> SetSystem:
     return parse_presentation(_read(path))
 
 
-def _index_mask(arg: str, r: int) -> int:
+def _index_arg(text: str) -> list[int]:
+    """Parse a comma-separated list of 1-based indices; '' is the empty list."""
+    try:
+        return [int(part) for part in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _index_mask(indices: list[int], r: int) -> int:
     mask = 0
-    if arg:
-        for part in arg.split(","):
-            i = int(part)
-            if not 1 <= i <= r:
-                raise ValueError(f"index {i} outside 1..{r}")
-            mask |= 1 << (i - 1)
+    for i in indices:
+        if not 1 <= i <= r:
+            raise ValueError(f"index {i} outside 1..{r}")
+        mask |= 1 << (i - 1)
     return mask
 
 
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _index_list(mask: int) -> list[int]:
-    return [i + 1 for i in bit_indices(mask)]
 
 
 def cmd_lattice(args) -> int:
@@ -69,7 +72,7 @@ def cmd_lattice(args) -> int:
 def cmd_sigma(args) -> int:
     system = _load_presentation(args.file)
     closed = extlattice.index_closure(system, _index_mask(args.set, system.r))
-    _emit({"r": system.r, "sets": [_index_list(closed)]})
+    _emit({"r": system.r, "sets": [index_list(closed)]})
     return 0
 
 
@@ -113,7 +116,7 @@ def cmd_supports(args) -> int:
         masks = sorted({system.support(1 << e)
                         for e in range(system.ground.n)},
                        key=lambda m: (m.bit_count(), m))
-    _emit({"r": system.r, "sets": [_index_list(m) for m in masks]})
+    _emit({"r": system.r, "sets": [index_list(m) for m in masks]})
     return 0
 
 
@@ -121,7 +124,7 @@ def cmd_t_lattice(args) -> int:
     system = _load_presentation(args.file)
     records = extlattice.extension_matroids(system)
     _emit({"r": system.r,
-           "extensions": [{"set": _index_list(rec.index_set),
+           "extensions": [{"set": index_list(rec.index_set),
                            **matroid_doc(rec.matroid)} for rec in records]})
     return 0
 
@@ -132,7 +135,7 @@ def cmd_intersect(args) -> int:
     common = extlattice.common_extension_lattice(a, b)
     _emit({"lattice_ab": lattice_doc(common.lattice_ab),
            "lattice_ba": lattice_doc(common.lattice_ba),
-           "pairs": [[_index_list(i), _index_list(j)] for i, j in common.pairs]})
+           "pairs": [[index_list(i), index_list(j)] for i, j in common.pairs]})
     return 0
 
 
@@ -140,9 +143,9 @@ def cmd_irreducibles(args) -> int:
     lat = parse_lattice(_read(args.file))
     lat = validate_lattice(lat.members, lat.r)
     join_irr, meet_irr, least = extlattice.irreducibles(lat)
-    _emit({"join": [_index_list(m) for m in join_irr],
-           "meet": [_index_list(m) for m in meet_irr],
-           "least_containing": {str(i + 1): _index_list(m)
+    _emit({"join": [index_list(m) for m in join_irr],
+           "meet": [index_list(m) for m in meet_irr],
+           "least_containing": {str(i + 1): index_list(m)
                                 for i, m in sorted(least.items())}})
     return 0
 
@@ -219,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit a Hasse diagram")
 
     p = add("sigma", cmd_sigma, "closure of an index set")
-    p.add_argument("--set", required=True, help="comma-separated 1-based indices")
+    p.add_argument("--set", required=True, type=_index_arg,
+                   help="comma-separated 1-based indices")
 
     p = add("extend", cmd_extend, "adjoin a fresh element to the given sets")
-    p.add_argument("--set", required=True, help="comma-separated 1-based indices")
+    p.add_argument("--set", required=True, type=_index_arg,
+                   help="comma-separated 1-based indices")
 
     add("maximalize", cmd_maximalize, "greatest presentation of the matroid")
 

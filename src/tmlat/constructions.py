@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import matching
 from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices, closed_sets,
-                   family_key, mask_of)
+                   family_key, index_list, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -29,11 +29,11 @@ def validate_lattice(members, r: int) -> SubsetLattice:
             raise ValueError("member outside the index range")
     for a, b in combinations(mem, 2):
         if (a | b) not in mem:
-            raise ValueError(f"union of {sorted(bit_indices(a))} and "
-                             f"{sorted(bit_indices(b))} is missing")
+            raise ValueError(f"union of {index_list(a)} and "
+                             f"{index_list(b)} is missing")
         if (a & b) not in mem:
-            raise ValueError(f"intersection of {sorted(bit_indices(a))} and "
-                             f"{sorted(bit_indices(b))} is missing")
+            raise ValueError(f"intersection of {index_list(a)} and "
+                             f"{index_list(b)} is missing")
     return SubsetLattice(r, mem)
 
 

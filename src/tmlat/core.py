@@ -271,6 +271,11 @@ def parse_lattice(text) -> SubsetLattice:
     return SubsetLattice(r, frozenset(members))
 
 
+def index_list(mask: int) -> list[int]:
+    """The indices of ``mask`` as documents write them, counting from 1."""
+    return [i + 1 for i in bit_indices(mask)]
+
+
 def presentation_doc(system: SetSystem) -> dict:
     return {"ground": list(system.ground.names), "sets": system.set_labels()}
 

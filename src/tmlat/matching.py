@@ -1,11 +1,14 @@
 """Bipartite matching oracle between elements and the sets that hold them.
 
-Rank queries use augmenting paths with deterministic tie-breaking
-(elements ascending, lowest-index set first), so returned matchings are
-reproducible.  ``deletion_reach`` memoizes, for each set of a system, a
-maximum matching of the complementary elements together with the set
-indices from which an augmenting path exists; closure scans reduce to
-bit tests against those masks.
+``augment`` is the package's one Kuhn step: every matching in ``tmlat``
+grows through it, whether elements are matched into sets (rank queries,
+independent-set enumeration) or sets into elements of a basis (the
+transversality search).  Rank queries use augmenting paths with
+deterministic tie-breaking (elements ascending, lowest-index set first),
+so returned matchings are reproducible.  ``deletion_reach`` memoizes, for
+each set of a system, a maximum matching of the complementary elements
+together with the set indices from which an augmenting path exists;
+closure scans reduce to bit tests against those masks.
 """
 
 from __future__ import annotations
@@ -40,13 +43,23 @@ def element_supports(system: SetSystem) -> tuple[int, ...]:
     return tuple(sup)
 
 
-def _augment_rec(sup, owner, element, adjacency, visited):
-    """Kuhn step: match ``element`` along ``adjacency``, evicting recursively."""
-    for j in bit_indices(adjacency & ~visited[0]):
+def augment(sup, owner, node, blocked: int = 0) -> bool:
+    """Kuhn step: match ``node`` along ``sup[node]``, evicting recursively.
+
+    ``sup[x]`` is the mask of right vertices adjacent to left vertex ``x``
+    and ``owner`` maps each matched right vertex to its left vertex.
+    Right vertices in ``blocked`` are never used.  Returns whether an
+    augmenting path was found; on False ``owner`` is left unchanged.
+    """
+    return _augment_rec(sup, owner, node, [blocked])
+
+
+def _augment_rec(sup, owner, node, visited):
+    for j in bit_indices(sup[node] & ~visited[0]):
         visited[0] |= 1 << j
         cur = owner.get(j)
-        if cur is None or _augment_rec(sup, owner, cur, sup[cur], visited):
-            owner[j] = element
+        if cur is None or _augment_rec(sup, owner, cur, visited):
+            owner[j] = node
             return True
     return False
 
@@ -55,7 +68,7 @@ def _max_matching_owner(system: SetSystem, x_mask: int) -> dict[int, int]:
     sup = element_supports(system)
     owner: dict[int, int] = {}
     for e in bit_indices(x_mask):
-        _augment_rec(sup, owner, e, sup[e], [0])
+        augment(sup, owner, e)
     return owner
 
 

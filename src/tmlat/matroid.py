@@ -110,7 +110,7 @@ class Matroid:
                     return
                 for e in range(start, n):
                     trial = dict(owner)
-                    if matching._augment_rec(sup, trial, e, sup[e], [0]):
+                    if matching.augment(sup, trial, e):
                         yield from grow(mask | (1 << e), trial, e + 1, size + 1)
 
             yield from grow(0, {}, 0, 0)
@@ -269,40 +269,6 @@ def principal_extension(m: Matroid, y_mask: int, label: str = "x") -> Matroid:
 # -- transversality -----------------------------------------------------------
 
 
-def _hall_sets_saturated(set_masks, avail_mask: int) -> bool:
-    """Can each of ``set_masks`` pick a distinct representative in avail_mask?"""
-    k = len(set_masks)
-    union = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        low = s & -s
-        union[s] = union[s ^ low] | set_masks[low.bit_length() - 1]
-    return all((union[s] & avail_mask).bit_count() >= s.bit_count()
-               for s in range(1, 1 << k))
-
-
-def _elements_matchable(set_masks, elem_mask: int) -> bool:
-    """Can every element of ``elem_mask`` go to a distinct set?"""
-    elems = bit_indices(elem_mask)
-    if len(elems) > len(set_masks):
-        return False
-    sup = []
-    for e in elems:
-        s = 0
-        for i, a in enumerate(set_masks):
-            if a & (1 << e):
-                s |= 1 << i
-        sup.append(s)
-    for t in range(1, 1 << len(elems)):
-        need = t.bit_count()
-        nbhd = 0
-        for i in range(len(elems)):
-            if t & (1 << i):
-                nbhd |= sup[i]
-        if nbhd.bit_count() < need:
-            return False
-    return True
-
-
 def _cocircuit_search(m: Matroid, r: int) -> tuple[int, ...] | None:
     """Find r cocircuits of the coloop-free ``m`` presenting it, if any."""
     bases = sorted(m.bases(), key=family_key)
@@ -314,16 +280,27 @@ def _cocircuit_search(m: Matroid, r: int) -> tuple[int, ...] | None:
     for i in range(len(cands) - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
 
-    def ok_prefix(chosen):
-        k = len(chosen)
-        if not all(_hall_sets_saturated(chosen, b) for b in bases):
-            return False
-        for c in small_circuits:
-            if c.bit_count() <= k and _elements_matchable(chosen, c):
-                return False
-        return True
+    def push(chosen, owners):
+        """The matchings of ``chosen`` into each basis, or None if it fails.
 
-    def search(chosen, covered, start):
+        ``owners`` matches every set but the last into the bases, so one
+        augmenting path per basis decides whether the sets have distinct
+        representatives there; then no small circuit may be independent.
+        """
+        k = len(chosen)
+        grown = []
+        for b, owner in zip(bases, owners):
+            trial = dict(owner)
+            if not matching.augment(chosen, trial, k - 1, blocked=~b):
+                return None
+            grown.append(trial)
+        system = SetSystem(m.ground, tuple(chosen))
+        for c in small_circuits:
+            if c.bit_count() <= k and matching.is_independent(system, c):
+                return None
+        return grown
+
+    def search(chosen, owners, covered, start):
         k = len(chosen)
         if k == r:
             return tuple(chosen)
@@ -331,14 +308,15 @@ def _cocircuit_search(m: Matroid, r: int) -> tuple[int, ...] | None:
             return None
         for i in range(start, len(cands)):
             chosen.append(cands[i])
-            if ok_prefix(chosen):
-                got = search(chosen, covered | cands[i], i)
+            grown = push(chosen, owners)
+            if grown is not None:
+                got = search(chosen, grown, covered | cands[i], i)
                 if got is not None:
                     return got
             chosen.pop()
         return None
 
-    return search([], 0, 0)
+    return search([], [{} for _ in bases], 0, 0)
 
 
 def transversal_presentation(m: Matroid) -> SetSystem | None:
@@ -375,7 +353,8 @@ def transversal_presentation(m: Matroid) -> SetSystem | None:
     if not sets:
         sets = [0]  # rank-0 matroid: one empty set presents it
     witness = SetSystem(m.ground, tuple(sets))
-    assert Matroid.from_system(witness).bases() == m.bases()
+    if Matroid.from_system(witness).bases() != m.bases():
+        raise AssertionError("cocircuit witness does not present the matroid")
     return witness
 
 

@@ -43,8 +43,7 @@ def reindexing_equivalent(a: SetSystem, b: SetSystem) -> bool:
 
 def deletion_ranks(system: SetSystem) -> list[int]:
     """Rank of the matroid after deleting each set's elements."""
-    full = system.ground.full_mask
-    return [matching.rank(system, full & ~a) for a in system.sets]
+    return [rk for rk, _ in matching.deletion_reach(system)]
 
 
 def presentation_rank(system: SetSystem) -> int:

@@ -185,6 +185,16 @@ def test_usage_error_exits_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["sigma", "extend"])
+def test_set_option_usage_and_range(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, path("u34_first.json"), "--set", "x"])
+    assert err.value.code == 2
+    assert "--set" in capsys.readouterr().err
+    code, out, err = run(capsys, command, path("u34_first.json"), "--set", "4")
+    assert code == 3 and out == "" and err == "error: index 4 outside 1..3\n"
+
+
 def test_invalid_input_exits_3(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ground": ["a"], "sets": [["z"]]}')

@@ -20,7 +20,8 @@ def test_validate_lattice():
     validate_lattice([0b00, 0b01, 0b10, 0b11], 2)
     with pytest.raises(ValueError, match="union"):
         validate_lattice([0b000, 0b001, 0b010, 0b111], 3)
-    with pytest.raises(ValueError, match="intersection"):
+    with pytest.raises(ValueError,
+                       match=r"^intersection of \[1, 2\] and \[2, 3\] is missing$"):
         validate_lattice([0b000, 0b011, 0b110, 0b111], 3)
     with pytest.raises(ValueError, match="empty"):
         validate_lattice([0b01, 0b11], 2)

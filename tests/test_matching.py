@@ -1,7 +1,10 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tmlat import matching
-from tmlat.core import bit_indices, make_system
+from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 
 from .oracles import brute_rank, counting_independent
 
@@ -101,3 +104,27 @@ def brute_rank_with_virtual(system, x_mask, adjacency):
         return top
 
     return best(0, 0)
+
+
+GROUND8 = GroundSet(tuple(f"e{i}" for i in range(8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=10),
+       st.integers(0, 255))
+def test_augment_pushes_sets_into_a_mask(sets, b):
+    """Pushing sets one at a time decides Hall's condition inside ``b``."""
+    chosen: list[int] = []
+    owner: dict[int, int] = {}
+    for a in sets:
+        trial = chosen + [a]
+        before = dict(owner)
+        ok = matching.augment(trial, owner, len(chosen), blocked=~b)
+        assert ok == (brute_rank(SetSystem(GROUND8, tuple(trial)), b) == len(trial))
+        if not ok:
+            assert owner == before
+            continue
+        chosen = trial
+        assert sorted(owner.values()) == list(range(len(chosen)))
+        for e, k in owner.items():
+            assert b >> e & 1 and chosen[k] >> e & 1

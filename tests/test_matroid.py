@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from tmlat.core import bit_indices, make_system
+from tmlat.core import GroundSet, bit_indices, make_system, presentation_doc
 from tmlat.matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                            principal_extension, transversal_presentation)
 
@@ -291,7 +297,8 @@ def test_transversal_witnesses(u34_first, nontransversal_meet):
     assert not is_transversal(nontransversal_meet)
 
 
-def test_transversal_random_sweep():
+def sweep_matroids():
+    """Fifteen seeded presented matroids on at most six elements."""
     rng = random.Random(13)
     for _ in range(15):
         n = rng.randint(2, 6)
@@ -299,10 +306,77 @@ def test_transversal_random_sweep():
         names = [f"e{i}" for i in range(n)]
         sets = [[names[i] for i in range(n) if rng.random() < 0.6]
                 for _ in range(r)]
-        m = Matroid.from_system(make_system(names, sets))
+        yield Matroid.from_system(make_system(names, sets))
+
+
+def test_transversal_random_sweep():
+    for m in sweep_matroids():
         witness = transversal_presentation(m)
         assert witness is not None
         assert Matroid.from_system(witness).bases() == m.bases()
+
+
+# The witnesses of sweep_matroids(), as element indices of each set.
+SWEEP_WITNESSES = [
+    [[0, 1, 2], [3]],
+    [[0, 1, 2]],
+    [[2, 3, 4]],
+    [[1], [3]],
+    [[0, 1, 2], [0, 1, 4], [3]],
+    [[0, 1, 2, 3, 4], [0, 1, 2, 3, 5]],
+    [[0, 1, 3, 4], [1, 2]],
+    [[0], [2]],
+    [[0], [1], [2]],
+    [[0, 2]],
+    [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]],
+    [[0, 1, 3, 4], [0, 1, 3, 5]],
+    [[0], [1], [2]],
+    [[0, 2, 3]],
+    [[1, 2, 3, 4], [1, 2, 3, 5]],
+]
+
+
+def witness_doc(m):
+    witness = transversal_presentation(m)
+    return None if witness is None else presentation_doc(witness)
+
+
+def test_transversal_witness_goldens(u34_first):
+    """The cocircuit search returns these exact presentations, set order included."""
+    assert witness_doc(Matroid.from_system(u34_first)) == {
+        "ground": ["a", "b", "c", "d"], "sets": [["a", "b"], ["a", "c"], ["a", "d"]]}
+    coloops = Matroid.from_system(make_system("pqabc", ["p", "q", "ab", "bc"]))
+    assert witness_doc(coloops) == {
+        "ground": ["p", "q", "a", "b", "c"],
+        "sets": [["a", "b"], ["a", "c"], ["p"], ["q"]]}
+    assert witness_doc(complete_graph_k4()) is None
+    got = [witness_doc(m) for m in sweep_matroids()]
+    assert [doc["sets"] for doc in got] == [
+        [[f"e{i}" for i in s] for s in sets] for sets in SWEEP_WITNESSES]
+    assert all(doc["ground"] == [f"e{i}" for i in range(len(doc["ground"]))]
+               for doc in got)
+
+
+def test_witness_check_survives_optimize():
+    """Under python -O a wrong cocircuit witness still raises."""
+    code = textwrap.dedent("""
+        from tmlat import matroid
+        from tmlat.core import make_system
+
+        u34 = matroid.Matroid.from_system(make_system("abcd", ["abd", "acd", "bcd"]))
+        matroid._cocircuit_search = lambda m, r: (0b0001, 0b0010, 0b0100)
+        try:
+            matroid.transversal_presentation(u34)
+        except AssertionError as exc:
+            print("raised:", exc, "debug:", __debug__)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: ") and "debug: False" in proc.stdout
 
 
 def test_nontransversal_meet_sanity(nontransversal_meet, meet_pair):
@@ -330,19 +404,21 @@ def test_matroid_json_round_trip(nontransversal_meet):
         parse_matroid({"ground": ["a"]})
 
 
-def test_complete_graph_matroid_is_not_transversal():
-    # the cycle matroid of the complete graph on four vertices is the
-    # classical smallest non-transversal matroid
-    from itertools import combinations
-    from tmlat.core import GroundSet
-
+def complete_graph_k4():
+    """The cycle matroid M(K4), by its bases: triangles are its 3-circuits."""
     edges = ["12", "13", "14", "23", "24", "34"]
     ground = GroundSet(tuple(edges))
     triangles = [{"12", "13", "23"}, {"12", "14", "24"},
                  {"13", "14", "34"}, {"23", "24", "34"}]
     bases = [ground.mask(combo) for combo in combinations(edges, 3)
              if set(combo) not in triangles]
-    m = Matroid.from_bases(ground, bases)
+    return Matroid.from_bases(ground, bases)
+
+
+def test_complete_graph_matroid_is_not_transversal():
+    # the cycle matroid of the complete graph on four vertices is the
+    # classical smallest non-transversal matroid
+    m = complete_graph_k4()
     assert m.full_rank == 3 and len(m.cocircuits()) == 7
     assert not is_transversal(m)
 
