@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import extlattice, matching, verify
@@ -282,6 +283,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Console entry point.
+
+    A reader that closes the pipe early (``tmlat lattice big.json | head``)
+    ends the process silently, as it ends other Unix filters.
+    """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -43,20 +43,12 @@ def first_occurrence(lat: SubsetLattice) -> dict[int, int]:
     An index appears first in the smallest member containing it; the
     nonempty images partition [r].
     """
-    occ: dict[int, int] = {}
-    for m in lat.members:
-        below = 0
-        for other in lat.members:
-            if other != m and other & m == other:
-                below |= other
-        occ[m] = m & ~below
-    seen = 0
-    for part in occ.values():
-        if seen & part:
-            raise ValueError("an index appears first in two members")
-        seen |= part
-    if seen != lat.full_mask:
+    least = lat.least_containing()
+    if len(least) != lat.r:
         raise ValueError("an index appears first in no member")
+    occ = dict.fromkeys(lat.members, 0)
+    for i, m in least.items():
+        occ[m] |= 1 << i
     return occ
 
 

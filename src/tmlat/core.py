@@ -184,27 +184,60 @@ class SubsetLattice:
     def full_mask(self) -> int:
         return (1 << self.r) - 1
 
+    def least_containing(self) -> dict[int, int]:
+        """Map each index some member holds to the intersection of those members.
+
+        Keys ascend.  In a family closed under intersection the image of i
+        is the least member containing i; its distinct images other than
+        the bottom are the join-irreducibles, which determine the whole
+        lattice (Birkhoff).  Takes O(|L|·r) steps.
+        """
+        top = 0
+        for m in self.members:
+            top |= m
+        least = dict.fromkeys(bit_indices(top), top)
+        for m in self.members:
+            for i in bit_indices(m):
+                least[i] &= m
+        return least
+
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (lower, upper) of the containment order on members."""
+        """Cover pairs (lower, upper) of the containment order on members.
+
+        Under union closure ``a | least[j]`` is the least member holding
+        a and j, so the upper covers of ``a`` are the minimal such sets
+        over j outside ``a``: O(|L|·r²) steps.
+        """
         mem = self.sorted_members()
         if len(mem) > 4096:
             raise ValueError("family too large for cover enumeration")
+        least = self.least_containing()
         out = []
         for a in mem:
-            for b in mem:
-                if a != b and a & b == a:
-                    if not any(c != a and c != b and a & c == a and c & b == c
-                               for c in mem):
-                        out.append((a, b))
-        return sorted(out, key=lambda p: (family_key(p[0]), family_key(p[1])))
+            # A set strictly inside b sorts before it, so comparing b with
+            # the minimal sets found so far is enough.
+            ups: list[int] = []
+            for b in sorted({a | m for i, m in least.items() if not a >> i & 1},
+                            key=family_key):
+                if not any(c & b == c for c in ups):
+                    ups.append(b)
+            out.extend((a, b) for b in ups)
+        return out
 
     def heights(self) -> dict[int, int]:
-        """Longest-chain height of each member, bottom elements at 0."""
-        up: dict[int, int] = {}
-        for m in self.sorted_members():
-            below = [up[c] for c in self.members if c != m and c & m == c]
-            up[m] = 1 + max(below) if below else 0
-        return up
+        """Longest-chain height of each member, bottom at 0.
+
+        A family closed under union and intersection is a distributive
+        lattice, where the height of a member is the number of
+        join-irreducibles below it: the distinct ``least[j]`` over j in
+        the member but not in the bottom.
+        """
+        if not self.members:
+            return {}
+        least = self.least_containing()
+        mem = self.sorted_members()
+        bottom = mem[0]
+        return {m: len({least[i] for i in bit_indices(m & ~bottom)}) for m in mem}
 
 
 def intersection_closure(masks, r: int) -> frozenset[int]:
@@ -230,6 +263,18 @@ def intersection_closure(masks, r: int) -> frozenset[int]:
 # Lattice file:      {"r": int, "sets": [[1-based indices...], ...]}
 
 
+_JSON_TYPES = {str: "a string", type(None): "null", bool: "a boolean",
+               int: "a number", float: "a number", dict: "an object"}
+
+
+def require_list(value, what: str) -> list:
+    """``value`` if it is a JSON list; strings and other values are refused."""
+    if not isinstance(value, list):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be a list, not {kind}")
+    return value
+
+
 def _as_document(text):
     if isinstance(text, (str, bytes)):
         return json.loads(text)
@@ -240,15 +285,16 @@ def parse_presentation(text) -> SetSystem:
     """Read a presentation document (JSON text or an already-parsed dict)."""
     doc = _as_document(text)
     try:
-        names = list(doc["ground"])
-        raw_sets = list(doc["sets"])
+        names = require_list(doc["ground"], "'ground'")
+        raw_sets = require_list(doc["sets"], "'sets'")
     except (KeyError, TypeError):
         raise ValueError("presentation document needs 'ground' and 'sets'") from None
     if not raw_sets:
         raise ValueError("empty 'sets' list")
     ground = GroundSet(tuple(str(s) for s in names))
-    return SetSystem(ground, tuple(ground.mask(str(e) for e in labels)
-                                   for labels in raw_sets))
+    return SetSystem(ground, tuple(
+        ground.mask(str(e) for e in require_list(labels, f"set {k}"))
+        for k, labels in enumerate(raw_sets, start=1)))
 
 
 def parse_lattice(text) -> SubsetLattice:
@@ -256,14 +302,17 @@ def parse_lattice(text) -> SubsetLattice:
     doc = _as_document(text)
     try:
         r = int(doc["r"])
-        raw = list(doc["sets"])
+        raw = require_list(doc["sets"], "'sets'")
     except (KeyError, TypeError):
         raise ValueError("lattice document needs 'r' and 'sets'") from None
     members = set()
-    for entry in raw:
+    for k, entry in enumerate(raw, start=1):
         m = 0
-        for i in entry:
-            i = int(i)
+        for i in require_list(entry, f"set {k}"):
+            try:
+                i = int(i)
+            except TypeError:
+                raise ValueError(f"set {k} holds a non-integer index") from None
             if not 1 <= i <= r:
                 raise ValueError(f"index {i} outside 1..{r}")
             m |= 1 << (i - 1)

@@ -166,19 +166,12 @@ def irreducibles(lat: SubsetLattice):
         raise ValueError("empty family")
     mem = lat.members
     top = 0
-    bottom_candidates = None
+    bottom = None
     for m in mem:
         top |= m
-        bottom_candidates = m if bottom_candidates is None else bottom_candidates & m
-    bottom = bottom_candidates
+        bottom = m if bottom is None else bottom & m
 
-    least: dict[int, int] = {}
-    for i in bit_indices(top):
-        inter = None
-        for m in mem:
-            if m & (1 << i):
-                inter = m if inter is None else inter & m
-        least[i] = inter
+    least = lat.least_containing()
     join_irr = sorted({v for v in least.values() if v != bottom}, key=family_key)
 
     meet_irr = set()
@@ -254,9 +247,8 @@ def hasse_dot(lat: SubsetLattice) -> str:
     equal height share a rank group.
     """
     mem = lat.sorted_members()
-
-    def name(m: int) -> str:
-        return "{" + ",".join(str(i + 1) for i in bit_indices(m)) + "}"
+    name = {m: '"{' + ",".join(str(i + 1) for i in bit_indices(m)) + '}"'
+            for m in mem}
 
     heights = lat.heights()
     levels: dict[int, list[int]] = {}
@@ -265,11 +257,11 @@ def hasse_dot(lat: SubsetLattice) -> str:
 
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for m in mem:
-        lines.append(f'  "{name(m)}";')
+        lines.append(f"  {name[m]};")
     for h in sorted(levels):
-        group = "; ".join(f'"{name(m)}"' for m in levels[h])
+        group = "; ".join(name[m] for m in levels[h])
         lines.append(f"  {{ rank=same; {group}; }}")
     for lo, hi in lat.covers():
-        lines.append(f'  "{name(lo)}" -> "{name(hi)}";')
+        lines.append(f"  {name[lo]} -> {name[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import matching
-from .core import GroundSet, SetSystem, bit_indices, family_key
+from .core import GroundSet, SetSystem, bit_indices, family_key, require_list
 
 ENUM_LIMIT = 16  # subset scans are exponential; larger grounds refuse
 
@@ -37,8 +37,6 @@ class Matroid:
             sizes = {b.bit_count() for b in bases}
             if len(sizes) != 1:
                 raise ValueError("bases not equicardinal")
-            if __debug__ and ground.n <= 10 and len(bases) <= 120:
-                _check_basis_exchange(bases)
             self._bases = bases
 
     @classmethod
@@ -47,7 +45,16 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, ground: GroundSet, basis_masks) -> "Matroid":
-        return cls(ground, basis_masks=basis_masks)
+        """A matroid from a basis family of unknown origin.
+
+        Desk-sized families (n <= 10, at most 120 bases) are checked for
+        the exchange axiom here.  Code that derives bases from a matroid
+        already built calls the constructor and skips the check.
+        """
+        m = cls(ground, basis_masks=basis_masks)
+        if __debug__ and ground.n <= 10 and len(m._bases) <= 120:
+            _check_basis_exchange(m._bases)
+        return m
 
     # -- rank oracle ----------------------------------------------------
 
@@ -212,7 +219,7 @@ class Matroid:
                     if m & (1 << old):
                         out |= 1 << new
                 bases.add(out)
-        return Matroid.from_bases(sub, bases)
+        return Matroid(sub, basis_masks=bases)
 
     def delete(self, d_mask: int) -> "Matroid":
         return self.restrict(self.ground.full_mask & ~d_mask)
@@ -369,11 +376,14 @@ def parse_matroid(text) -> Matroid:
     """Read {"ground": [...], "bases": [[...], ...]}; extra keys are ignored."""
     doc = json.loads(text) if isinstance(text, (str, bytes)) else text
     try:
-        ground = GroundSet(tuple(str(s) for s in doc["ground"]))
-        raw = list(doc["bases"])
+        names = require_list(doc["ground"], "'ground'")
+        raw = require_list(doc["bases"], "'bases'")
     except (KeyError, TypeError):
         raise ValueError("matroid document needs 'ground' and 'bases'") from None
-    return Matroid.from_bases(ground, (ground.mask(str(e) for e in b) for b in raw))
+    ground = GroundSet(tuple(str(s) for s in names))
+    return Matroid.from_bases(ground, (
+        ground.mask(str(e) for e in require_list(b, f"basis {k}"))
+        for k, b in enumerate(raw, start=1)))
 
 
 def matroid_doc(m: Matroid) -> dict:

@@ -3,10 +3,11 @@
 These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
 counting condition on every subset.  Family closure is a plain
-fixpoint over all pairs.
+fixpoint over all pairs, and the lattice read-offs (covers, heights,
+first occurrences) compare members pairwise or triplewise.
 """
 
-from tmlat.core import bit_indices, submasks
+from tmlat.core import bit_indices, family_key, submasks
 
 
 def brute_rank(system, x_mask):
@@ -45,3 +46,37 @@ def union_intersection_closure(members, r: int) -> frozenset[int]:
                         fam.add(c)
                         changed = True
     return frozenset(fam)
+
+
+def brute_covers(lat):
+    """Cover pairs by testing every triple of members."""
+    mem = lat.sorted_members()
+    out = []
+    for a in mem:
+        for b in mem:
+            if a != b and a & b == a:
+                if not any(c != a and c != b and a & c == a and c & b == c
+                           for c in mem):
+                    out.append((a, b))
+    return sorted(out, key=lambda p: (family_key(p[0]), family_key(p[1])))
+
+
+def brute_heights(lat):
+    """Longest-chain heights, each member one above its highest submember."""
+    up = {}
+    for m in lat.sorted_members():
+        below = [up[c] for c in lat.members if c != m and c & m == c]
+        up[m] = 1 + max(below) if below else 0
+    return up
+
+
+def brute_first_occurrence(lat):
+    """Each member minus the union of the members strictly inside it."""
+    occ = {}
+    for m in lat.members:
+        below = 0
+        for other in lat.members:
+            if other != m and other & m == other:
+                below |= other
+        occ[m] = m & ~below
+    return occ

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,6 +216,51 @@ def test_invalid_input_exits_3(capsys, tmp_path):
     deficient.write_text('{"ground": ["a", "b"], "sets": [["a"], ["a"]]}')
     code, _, err = run(capsys, "lattice", str(deficient))
     assert code == 3 and "rank" in err
+
+
+# A string iterates as one-character labels and null or a number does not
+# iterate at all, so each must be refused by name rather than iterated.
+@pytest.mark.parametrize("command, doc, message", [
+    ("lattice", {"ground": "abc", "sets": [["a", "b"]]},
+     "'ground' must be a list, not a string"),
+    ("lattice", {"ground": ["a", "b", "c"], "sets": "ab"},
+     "'sets' must be a list, not a string"),
+    ("lattice", {"ground": ["a"], "sets": [None]}, "set 1 must be a list, not null"),
+    ("lattice", {"ground": ["a"], "sets": [["a"], 5]},
+     "set 2 must be a list, not a number"),
+    ("irreducibles", {"r": 2, "sets": "12"}, "'sets' must be a list, not a string"),
+    ("irreducibles", {"r": 2, "sets": [[], None]}, "set 2 must be a list, not null"),
+    ("irreducibles", {"r": 2, "sets": [[], [1], "2", [1, 2]]},
+     "set 3 must be a list, not a string"),
+    ("irreducibles", {"r": 2, "sets": [[], [None], [1, 2]]},
+     "set 2 holds a non-integer index"),
+])
+def test_non_list_fields_exit_3(capsys, tmp_path, command, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_closed_pipe_is_quiet(tmp_path):
+    """``tmlat lattice big.json | head -1`` prints nothing to stderr."""
+    names = [f"e{i}" for i in range(12)]
+    big = tmp_path / "big.json"  # 4096 closed sets, far more than a pipe holds
+    big.write_text(json.dumps({"ground": names, "sets": [[e] for e in names]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from tmlat.cli import run; run()",
+         "lattice", str(big)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    assert err == b""
 
 
 def test_intersect_different_matroids_exits_3(capsys, tmp_path):

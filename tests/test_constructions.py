@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tmlat import matching
 from tmlat.constructions import (build_maximal_presentation,
                                  build_uniform_presentation, first_occurrence,
                                  ideals_of_poset, validate_lattice)
-from tmlat.core import bit_indices
+from tmlat.core import GroundSet, SetSystem, bit_indices
 from tmlat.extlattice import extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import is_maximal
+
+from .oracles import brute_covers, brute_first_occurrence, brute_heights
 
 SAMPLE_R6 = frozenset([0, 0b000001, 0b000111, 0b011001, 0b011111, 0b111111])
 
@@ -150,3 +155,36 @@ def test_ideals_transitive_input():
     a = ideals_of_poset(3, [(1, 2), (2, 3)])
     b = ideals_of_poset(3, [(1, 2), (2, 3), (1, 3)])
     assert a.members == b.members
+
+
+@st.composite
+def poset_ideal_lattices(draw):
+    """Order ideals of a random poset on at most 9 points."""
+    points = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(1, points + 1)))
+    pairs = [(order[i], order[j]) for i in range(points)
+             for j in range(i + 1, points)]
+    less = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return ideals_of_poset(points, less)
+
+
+@st.composite
+def extension_lattices(draw):
+    """Closed index sets of a random full-rank presentation with r <= 8."""
+    r = draw(st.integers(1, 8))
+    n = draw(st.integers(r, 10))
+    diagonal = draw(st.permutations(range(n)))[:r]
+    sets = [draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal]
+    system = SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(sets))
+    assert matching.rank(system, system.ground.full_mask) == r
+    return extension_lattice(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poset_ideal_lattices(), extension_lattices()))
+def test_read_offs_match_pairwise_oracles(lat):
+    """Covers, heights and first occurrences read off the least-containing map."""
+    assert lat.covers() == brute_covers(lat)
+    assert lat.heights() == brute_heights(lat)
+    occ = first_occurrence(lat)
+    assert list(occ.items()) == list(brute_first_occurrence(lat).items())

@@ -114,6 +114,9 @@ def test_covers_and_heights():
     lat = SubsetLattice(2, frozenset([0b00, 0b01, 0b11]))
     assert lat.covers() == [(0b00, 0b01), (0b01, 0b11)]
     assert lat.heights() == {0b00: 0, 0b01: 1, 0b11: 2}
+    empty = SubsetLattice(3, frozenset())
+    assert empty.covers() == [] and empty.heights() == {}
+    assert empty.least_containing() == {}
 
 
 def test_size_caps():

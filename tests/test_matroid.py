@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tmlat import matroid
 from tmlat.core import GroundSet, bit_indices, make_system, presentation_doc
 from tmlat.matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                            principal_extension, transversal_presentation)
@@ -402,6 +403,28 @@ def test_matroid_json_round_trip(nontransversal_meet):
     assert again.bases() == nontransversal_meet.bases()
     with pytest.raises(ValueError):
         parse_matroid({"ground": ["a"]})
+    for bad in ({"ground": "ab", "bases": [["a"]]},
+                {"ground": ["a", "b"], "bases": "ab"},
+                {"ground": ["a", "b"], "bases": [None]},
+                {"ground": ["a", "b"], "bases": [["a"], 5]}):
+        with pytest.raises(ValueError, match="must be a list"):
+            parse_matroid(bad)
+
+
+def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
+    """``from_bases`` checks the axiom; ``restrict`` trusts a valid matroid."""
+    g = GroundSet(tuple("abcd"))
+    if __debug__:  # the check is skipped under python -O
+        with pytest.raises(ValueError, match="exchange"):
+            Matroid.from_bases(g, [g.mask("ab"), g.mask("cd")])
+    calls = []
+    real = matroid._check_basis_exchange
+    monkeypatch.setattr(matroid, "_check_basis_exchange",
+                        lambda bases: calls.append(bases) or real(bases))
+    doc = matroid_doc(Matroid.from_system(u34_first))
+    m = parse_matroid(doc)
+    assert transversal_presentation(m) is not None
+    assert len(calls) == (1 if __debug__ else 0)
 
 
 def complete_graph_k4():
