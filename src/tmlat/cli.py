@@ -15,7 +15,7 @@ import sys
 
 from . import extlattice, matching, verify
 from .core import (SetSystem, index_list, lattice_doc, parse_lattice,
-                   parse_presentation, presentation_doc)
+                   parse_presentation, presentation_doc, require_list)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
                             validate_lattice)
@@ -167,9 +167,13 @@ def cmd_ideals(args) -> int:
     doc = json.loads(_read(args.file))
     try:
         points = int(doc["points"])
-        less = [(int(i), int(j)) for i, j in doc["less"]]
+        less = require_list(doc["less"], "'less'")
     except (KeyError, TypeError):
         raise ValueError("poset document needs 'points' and 'less'") from None
+    for k, pair in enumerate(less, start=1):
+        require_list(pair, f"'less' entry {k}")
+        if len(pair) != 2 or not all(type(i) is int for i in pair):
+            raise ValueError(f"'less' entry {k} must hold two integers")
     lat = ideals_of_poset(points, less)
     if args.dot:
         sys.stdout.write(extlattice.hasse_dot(lat))

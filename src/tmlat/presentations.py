@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from . import matching
 from .core import SetSystem, bit_indices
-from .matroid import Matroid
 
 
 def require_full_rank(system: SetSystem) -> int:
@@ -88,40 +87,35 @@ def _with_bit(system: SetSystem, i: int, e: int, on: bool) -> SetSystem:
 def maximalize(system: SetSystem) -> SetSystem:
     """The greatest presentation of the same matroid above this one.
 
-    Fixpoint of single-element additions; the result is independent of
-    the order in which additions are applied.
+    Every addable pair is applied in one pass.  Additions keep the
+    matroid, growing A_i leaves every other set's complement unchanged,
+    and coloops of M|(E - A_i) stay coloops after other coloops are
+    deleted, so each pair stays addable after the others; and the
+    restriction left once all its coloops are deleted has none.
     """
-    current = system
-    while True:
-        pairs = addable_pairs(current)
-        if not pairs:
-            return current
-        i, e = pairs[0]
-        current = _with_bit(current, i, e, True)
+    sets = list(system.sets)
+    for i, e in addable_pairs(system):
+        sets[i] |= 1 << e
+    return SetSystem(system.ground, tuple(sets))
 
 
 def is_maximal(system: SetSystem) -> bool:
     return not addable_pairs(system)
 
 
-def removable_pairs(system: SetSystem, bases=None) -> list[tuple[int, int]]:
-    """(set index, element) pairs whose removal still presents the matroid."""
+def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:
+    """(set index, element) pairs whose removal still presents the matroid.
+
+    Removing e from A_i keeps the matroid exactly when i lies in the
+    closure of supp(e) - {i} once e is deleted from every set: when e,
+    adjacent to its sets other than i, augments a maximum matching of
+    E - A_i.  That matching avoids e, so the cached reach mask decides.
+    """
     require_full_rank(system)
-    if bases is None:
-        bases = Matroid.from_system(system).bases()
-    bases = sorted(bases)
-    out = []
-    for i, a in enumerate(system.sets):
-        for e in bit_indices(a):
-            ebit = 1 << e
-            smaller = _with_bit(system, i, e, False)
-            # Shrinking sets can only lose independent sets, so equality
-            # holds as soon as every basis is still matchable; bases that
-            # avoid the removed element cannot be affected.
-            if all(matching.is_independent(smaller, b)
-                   for b in bases if b & ebit):
-                out.append((i, e))
-    return out
+    sup = matching.element_supports(system)
+    reach = matching.deletion_reach(system)
+    return [(i, e) for i, a in enumerate(system.sets) for e in bit_indices(a)
+            if sup[e] & ~(1 << i) & reach[i][1]]
 
 
 @dataclass(frozen=True)
@@ -137,19 +131,10 @@ class PresentationChain:
 
 def cover_chain(system: SetSystem) -> PresentationChain:
     """A chain of covers from some minimal presentation up to ``system``."""
-    height = presentation_rank(system)
-    bases = Matroid.from_system(system).bases()
     steps = [system]
-    current = system
-    while True:
-        pairs = removable_pairs(current, bases)
-        if not pairs:
-            break
+    while pairs := removable_pairs(steps[-1]):
         i, e = pairs[0]
-        current = _with_bit(current, i, e, False)
-        steps.append(current)
-    assert is_minimal(current)
-    assert len(steps) - 1 == height
+        steps.append(_with_bit(steps[-1], i, e, False))
     return PresentationChain(tuple(reversed(steps)))
 
 
@@ -164,7 +149,6 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
     if keep:
         if matching.rank(system, system.ground.full_mask & ~keep) != r:
             raise ValueError("kept elements must leave the rank intact")
-    bases = Matroid.from_system(system).bases()
     seen: set[tuple[int, ...]] = set()
     found: dict[tuple[int, ...], SetSystem] = {}
 
@@ -173,7 +157,7 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
         if key in seen:
             return
         seen.add(key)
-        pairs = removable_pairs(current, bases)
+        pairs = removable_pairs(current)
         if not pairs:
             found[key] = current
             return

@@ -17,7 +17,9 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import extlattice, matching
-from .core import GroundSet, SetSystem, SubsetLattice, bit_indices, mask_of
+from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
+                   intersection_closure, mask_of)
+from .matroid import Matroid
 from .presentations import (cover_chain, is_minimal, maximalize,
                             presentation_rank, reindexing_equivalent,
                             removable_pairs, addable_pairs, _with_bit)
@@ -40,6 +42,7 @@ class CatalogLattice:
     r: int
     i: int | None
     lattice: SubsetLattice
+    expected_size: int
 
 
 def _interval_hits(x: int, low: int, high_out: int) -> bool:
@@ -54,9 +57,9 @@ def catalog_lattice(kind: str, r: int, i: int | None = None) -> CatalogLattice:
     drag along 2, then {1,2} to drag 3, and so on up to i+1;
     "exclusion_chain" is its image under complementation; and
     "two_implications" removes two disjoint single implications (needs
-    r >= 4).  Sizes follow the closed formulas and are asserted here.
+    r >= 4).  ``expected_size`` is the closed formula for the size;
+    ``check_classification`` compares it with the members built here.
     """
-    full = (1 << r) - 1
     if kind in ("implication_chain", "exclusion_chain"):
         if i is None or not 1 <= i < r:
             raise ValueError("chain kinds need 1 <= i < r")
@@ -85,21 +88,21 @@ def catalog_lattice(kind: str, r: int, i: int | None = None) -> CatalogLattice:
         i = None
     else:
         raise ValueError(f"unknown catalog kind {kind!r}")
-    lat = SubsetLattice(r, frozenset(members))
-    assert len(lat) == expect
-    assert 0 in lat and full in lat
-    return CatalogLattice(kind, r, i, lat)
+    return CatalogLattice(kind, r, i, SubsetLattice(r, frozenset(members)), expect)
+
+
+def catalog(r: int) -> list[CatalogLattice]:
+    """Every catalog lattice at this r."""
+    out = [catalog_lattice(kind, r, i) for i in range(1, r)
+           for kind in ("implication_chain", "exclusion_chain")]
+    if r >= 4:
+        out.append(catalog_lattice("two_implications", r))
+    return out
 
 
 def catalog_classes(r: int) -> set[int]:
     """Canonical family masks of every catalog lattice at this r."""
-    out = set()
-    for i in range(1, r):
-        for kind in ("implication_chain", "exclusion_chain"):
-            out.add(canonical_family(family_mask(catalog_lattice(kind, r, i).lattice.members), r))
-    if r >= 4:
-        out.add(canonical_family(family_mask(catalog_lattice("two_implications", r).lattice.members), r))
-    return out
+    return {canonical_family(family_mask(c.lattice.members), r) for c in catalog(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +523,28 @@ def check_threequarters(r: int = 4, trials: int = 30,
     return rep
 
 
-def _check_common_closed(rep: VerdictReport, common, where: str) -> None:
+def _tight_both_ways(a: SetSystem, b: SetSystem) -> frozenset[int]:
+    """Supports tight under both presentations, closed under intersection."""
+    gens = set()
+    for ind in Matroid.from_system(a).independent_sets():
+        size = ind.bit_count()
+        sa, sb = a.support(ind), b.support(ind)
+        if sa.bit_count() == size and sb.bit_count() == size:
+            gens.add(sa)
+    return intersection_closure(gens, a.r)
+
+
+def _check_common(rep: VerdictReport, a: SetSystem, b: SetSystem, common,
+                  where: str) -> None:
+    """Record a failure unless ``common`` describes the common extensions."""
     _check_closed(rep, common.lattice_ab, f"{where}: lattice_ab")
     _check_closed(rep, common.lattice_ba, f"{where}: lattice_ba")
+    for i, j in common.pairs:
+        if i.bit_count() != j.bit_count():
+            rep.fail(f"{where}: {_indices(i)} is paired with {_indices(j)}")
+    if common.lattice_ab.members != _tight_both_ways(a, b):
+        rep.fail(f"{where}: support description of common extensions "
+                 "disagrees with matching")
 
 
 def check_intersection(r: int = 4, trials: int = 50,
@@ -539,7 +561,7 @@ def check_intersection(r: int = 4, trials: int = 50,
     if reindexing_equivalent(a, b):
         rep.fail("sharp pair is a reindexing")
     common = extlattice.common_extension_lattice(a, b)
-    _check_common_closed(rep, common, "sharp pair")
+    _check_common(rep, a, b, common, "sharp pair")
     if len(common.lattice_ab) != bound:
         rep.fail(f"sharp pair: {len(common.lattice_ab)} common extensions, "
                  f"expected {bound}")
@@ -547,7 +569,7 @@ def check_intersection(r: int = 4, trials: int = 50,
     a2, b2 = disjoint_support_pair(min(r, 4))
     rep.instances += 1
     common = extlattice.common_extension_lattice(a2, b2)
-    _check_common_closed(rep, common, "disjoint-support pair")
+    _check_common(rep, a2, b2, common, "disjoint-support pair")
     if len(common.lattice_ab) != 2:
         rep.fail("disjoint-support pair shares more than the trivial extensions")
 
@@ -564,7 +586,7 @@ def check_intersection(r: int = 4, trials: int = 50,
         done += 1
         rep.instances += 1
         common = extlattice.common_extension_lattice(system, other)
-        _check_common_closed(rep, common, f"pair #{done}")
+        _check_common(rep, system, other, common, f"pair #{done}")
         if len(common.lattice_ab) > bound:
             rep.fail(f"pair #{done}: {len(common.lattice_ab)} > {bound}")
         order = dict(common.pairs)
@@ -590,6 +612,11 @@ def check_classification(r: int = 4) -> VerdictReport:
     got = {canonical_family(family_mask(lat.members), r) for lat in census}
     full_family = canonical_family(family_mask(range(1 << r)), r)
     want = catalog_classes(r) | {full_family}
+    for c in catalog(r):
+        if (len(c.lattice) != c.expected_size
+                or not {0, (1 << r) - 1} <= c.lattice.members):
+            rep.fail(f"catalog {c.kind} i={c.i}: {len(c.lattice)} members, "
+                     f"expected {c.expected_size} with the empty and full sets")
     if got != want:
         rep.fail(f"census classes differ from the catalog at r={r}: "
                  f"{len(got)} vs {len(want)}")

@@ -4,10 +4,14 @@ These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
 counting condition on every subset.  Family closure is a plain
 fixpoint over all pairs, and the lattice read-offs (covers, heights,
-first occurrences) compare members pairwise or triplewise.
+first occurrences) compare members pairwise or triplewise.  The moves
+between presentations re-match every basis after each single change.
 """
 
+from tmlat import matching
 from tmlat.core import bit_indices, family_key, submasks
+from tmlat.matroid import Matroid
+from tmlat.presentations import _with_bit, addable_pairs, require_full_rank
 
 
 def brute_rank(system, x_mask):
@@ -80,3 +84,32 @@ def brute_first_occurrence(lat):
                 below |= other
         occ[m] = m & ~below
     return occ
+
+
+def brute_removable_pairs(system):
+    """Removable (set index, element) pairs by re-matching every basis."""
+    require_full_rank(system)
+    bases = sorted(Matroid.from_system(system).bases())
+    out = []
+    for i, a in enumerate(system.sets):
+        for e in bit_indices(a):
+            ebit = 1 << e
+            smaller = _with_bit(system, i, e, False)
+            # Shrinking sets can only lose independent sets, so equality
+            # holds as soon as every basis is still matchable; bases that
+            # avoid the removed element cannot be affected.
+            if all(matching.is_independent(smaller, b)
+                   for b in bases if b & ebit):
+                out.append((i, e))
+    return out
+
+
+def brute_maximalize(system):
+    """Fixpoint of single-element additions, one pair at a time."""
+    current = system
+    while True:
+        pairs = addable_pairs(current)
+        if not pairs:
+            return current
+        i, e = pairs[0]
+        current = _with_bit(current, i, e, True)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -234,6 +235,13 @@ def test_invalid_input_exits_3(capsys, tmp_path):
      "set 3 must be a list, not a string"),
     ("irreducibles", {"r": 2, "sets": [[], [None], [1, 2]]},
      "set 2 holds a non-integer index"),
+    ("ideals", {"points": 3, "less": "12"}, "'less' must be a list, not a string"),
+    ("ideals", {"points": 3, "less": ["12"]},
+     "'less' entry 1 must be a list, not a string"),
+    ("ideals", {"points": 3, "less": [[1, 2], [2]]},
+     "'less' entry 2 must hold two integers"),
+    ("ideals", {"points": 3, "less": [[1, "2"]]},
+     "'less' entry 1 must hold two integers"),
 ])
 def test_non_list_fields_exit_3(capsys, tmp_path, command, doc, message):
     bad = tmp_path / "bad.json"
@@ -296,3 +304,19 @@ def test_verify_non_closed_common_lattice_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "intersection", "--trials", "1")
     assert code == 1
     assert "FAIL sharp pair: lattice_ab: union of" in out
+
+
+def test_verify_unequal_common_pairs_exit_1(capsys, monkeypatch):
+    """Every common extension paired with the empty set: only the sizes differ."""
+    from tmlat import extlattice
+
+    real = extlattice.common_extension_lattice
+
+    def paired_with_empty(a, b):
+        common = real(a, b)
+        return dataclasses.replace(common, pairs=tuple((i, 0) for i, _ in common.pairs))
+
+    monkeypatch.setattr("tmlat.extlattice.common_extension_lattice", paired_with_empty)
+    code, out, _ = run(capsys, "verify", "intersection", "--trials", "0")
+    assert code == 1
+    assert "FAIL sharp pair: {1,2,3,4} is paired with {}" in out

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +127,14 @@ def test_size_caps():
     g = GroundSet(("a",))
     with pytest.raises(ValueError):
         SetSystem(g, tuple([1] * 33))
+
+
+def test_no_bare_assert_in_the_package():
+    """Invariants must survive ``python -O``, which strips ``assert``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "tmlat"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlat import matching
-from tmlat.core import SetSystem, bit_indices, make_system
+from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 from tmlat.matroid import Matroid
 from tmlat.presentations import (PresentationChain, addable_pairs, cover_chain,
                                  deletion_ranks, is_maximal, is_minimal,
@@ -12,6 +14,8 @@ from tmlat.presentations import (PresentationChain, addable_pairs, cover_chain,
                                  prec, preceq, presentation_rank,
                                  reindexing_equivalent, removable_pairs,
                                  require_full_rank, _with_bit)
+
+from .oracles import brute_maximalize, brute_removable_pairs
 
 
 def test_preceq(threelines_submaximal, threelines_maximal, u34_first, u34_second):
@@ -183,3 +187,32 @@ def test_cover_chain(threelines_maximal, u34_minimal):
         assert presentation_rank(step) == j
 
     assert cover_chain(u34_minimal).length == 0
+
+
+@st.composite
+def presentations_with_coloops(draw):
+    """Full-rank presentations whose first t elements are coloops.
+
+    t of the sets hold only elements below t, so deleting any one of
+    those elements drops the rank; the other sets may hold them too.
+    """
+    r = draw(st.integers(1, 7))
+    n = draw(st.integers(r, 10))
+    t = draw(st.integers(0, r))
+    sets = [draw(st.integers(0, (1 << t) - 1)) | 1 << i for i in range(t)]
+    diagonal = draw(st.permutations(range(t, n)))[:r - t]
+    sets += [draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal]
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return SetSystem(ground, tuple(draw(st.permutations(sets))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations_with_coloops())
+def test_removable_pairs_match_the_basis_scan(system):
+    assert removable_pairs(system) == brute_removable_pairs(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations_with_coloops())
+def test_maximalize_in_one_pass_matches_the_fixpoint(system):
+    assert maximalize(system).sets == brute_maximalize(system).sets

@@ -7,8 +7,8 @@ from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import (is_minimal, presentation_rank,
                                  reindexing_equivalent)
-from tmlat.verify import (canonical_family, catalog_lattice, census_sublattices,
-                          check_charmin, check_classification,
+from tmlat.verify import (canonical_family, catalog, catalog_lattice,
+                          census_sublattices, check_charmin, check_classification,
                           check_intersection, check_roundtrip,
                           check_threequarters, closed_family_table,
                           disjoint_support_pair, distinct_closed_families,
@@ -34,6 +34,31 @@ def test_catalog_sizes():
         catalog_lattice("implication_chain", 4, 4)
     with pytest.raises(ValueError):
         catalog_lattice("nope", 4, 1)
+    for r in (3, 4, 5):
+        for c in catalog(r):
+            assert len(c.lattice) == c.expected_size
+
+
+def test_check_classification_fails_a_wrong_catalog_size(monkeypatch):
+    import dataclasses
+
+    import tmlat.verify
+
+    real = tmlat.verify.catalog_lattice
+
+    def off_by_one(kind, r, i=None):
+        c = real(kind, r, i)
+        if kind != "exclusion_chain":
+            return c
+        return dataclasses.replace(c, expected_size=c.expected_size + 1)
+
+    monkeypatch.setattr(tmlat.verify, "catalog_lattice", off_by_one)
+    rep = check_classification(3)
+    assert rep.failures == [
+        "catalog exclusion_chain i=1: 6 members, expected 7 with the empty "
+        "and full sets",
+        "catalog exclusion_chain i=2: 5 members, expected 6 with the empty "
+        "and full sets"]
 
 
 def test_catalog_membership_rules():
