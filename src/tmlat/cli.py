@@ -47,6 +47,18 @@ def _index_arg(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _count_arg(text: str) -> int:
+    """Parse a non-negative integer count."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return count
+
+
 def _index_mask(indices: list[int], r: int) -> int:
     mask = 0
     for i in indices:
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, "run a verification suite", takes_file=False)
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--r", type=int, default=4)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count_arg, default=50)
     p.add_argument("--seed", type=int, default=20240406)
     p.add_argument("--json", action="store_true", help="emit reports as JSON")
 
@@ -275,7 +287,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
+        # OverflowError: a JSON Infinity read where an integer belongs.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except json.JSONDecodeError as exc:

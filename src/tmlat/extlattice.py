@@ -69,11 +69,11 @@ def index_closure(system: SetSystem, iset: int) -> int:
     require_full_rank(system)
     if iset & ~system.full_index_mask:
         raise ValueError("index set out of range")
-    reach = matching.deletion_reach(system)
+    dels = matching.deletion_reach(system).sets
     out = iset
     for k in range(system.r):
         bit = 1 << k
-        if not iset & bit and iset & reach[k][1]:
+        if not iset & bit and iset & dels[k].reach:
             out |= bit
     return out
 
@@ -88,7 +88,7 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
     r = system.r
     if r > SCAN_LIMIT:
         raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
-    reach = [rm for _, rm in matching.deletion_reach(system)]
+    reach = [d.reach for d in matching.deletion_reach(system).sets]
     return SubsetLattice(r, frozenset(closed_sets(reach)))
 
 

@@ -5,16 +5,20 @@ grows through it, whether elements are matched into sets (rank queries,
 independent-set enumeration) or sets into elements of a basis (the
 transversality search).  Rank queries use augmenting paths with
 deterministic tie-breaking (elements ascending, lowest-index set first),
-so returned matchings are reproducible.  ``deletion_reach`` memoizes, for
-each set of a system, a maximum matching of the complementary elements
-together with the set indices from which an augmenting path exists;
-closure scans reduce to bit tests against those masks.
+so returned matchings are reproducible.  ``deletion_reach`` memoizes
+what one maximum matching of E - A_k shows for each set k of a system:
+the rank of E - A_k, the set indices from which an augmenting path
+exists, and the coloops of M|(E - A_k); the same pass grows the first of
+those matchings into one of E for the rank of the whole system.  Closure
+scans, the moves between presentations and the full-rank check reduce
+to reading those numbers and bit tests against those masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import SetSystem, bit_indices
 
@@ -64,9 +68,17 @@ def _augment_rec(sup, owner, node, visited):
     return False
 
 
-def _max_matching_owner(system: SetSystem, x_mask: int) -> dict[int, int]:
+def _max_matching_owner(system: SetSystem, x_mask: int,
+                        owner: dict[int, int] | None = None) -> dict[int, int]:
+    """Augment ``owner`` (default empty) by each element of ``x_mask``.
+
+    Started from a maximum matching of a set disjoint from ``x_mask``,
+    this ends at a maximum matching of their union: an element with no
+    augmenting path never gains one as the matching grows.
+    """
     sup = element_supports(system)
-    owner: dict[int, int] = {}
+    if owner is None:
+        owner = {}
     for e in bit_indices(x_mask):
         augment(sup, owner, e)
     return owner
@@ -112,12 +124,61 @@ def reach_mask(system: SetSystem, owner: dict[int, int]) -> int:
     return good
 
 
+def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int]) -> int:
+    """Elements of ``x_mask`` in every basis of M|x_mask: its coloops.
+
+    ``owner`` is a maximum matching of ``x_mask``.  An element misses some
+    maximum matching exactly when it is unmatched or an unmatched element
+    reaches it by an alternating path: to a set along a non-matching edge,
+    then on to the element matched to that set.
+    """
+    sup = element_supports(system)
+    matched = 0
+    for e in owner.values():
+        matched |= 1 << e
+    seen = frontier = x_mask & ~matched
+    visited = 0
+    while frontier:
+        sets = 0
+        for e in bit_indices(frontier):
+            sets |= sup[e]
+        sets &= ~visited
+        visited |= sets
+        frontier = 0
+        for j in bit_indices(sets):
+            frontier |= 1 << owner[j]  # a maximum matching leaves no free set here
+        frontier &= ~seen
+        seen |= frontier
+    return x_mask & ~seen
+
+
+class Deletion(NamedTuple):
+    """What a maximum matching of E - A_k shows about M|(E - A_k)."""
+
+    rank: int
+    reach: int  # set indices an augmenting path can start from
+    coloops: int
+
+
+class Deletions(NamedTuple):
+    """The rank of a whole system and one ``Deletion`` per set index."""
+
+    rank: int
+    sets: tuple[Deletion, ...]
+
+
 @lru_cache(maxsize=4096)
-def deletion_reach(system: SetSystem) -> tuple[tuple[int, int], ...]:
-    """Per set index k: (rank of the complement of A_k, its reach mask)."""
+def deletion_reach(system: SetSystem) -> Deletions:
+    """Rank, reach mask and coloops of each E - A_k, and the rank of E.
+
+    The rank of E grows a copy of the matching of E - A_0 by the elements
+    of A_0, so the whole pass makes one matching per set.
+    """
     full = system.ground.full_mask
-    out = []
-    for a in system.sets:
-        owner = _max_matching_owner(system, full & ~a)
-        out.append((len(owner), reach_mask(system, owner)))
-    return tuple(out)
+    owners = [_max_matching_owner(system, full & ~a) for a in system.sets]
+    whole = (_max_matching_owner(system, system.sets[0], dict(owners[0]))
+             if owners else {})
+    return Deletions(len(whole), tuple(
+        Deletion(len(owner), reach_mask(system, owner),
+                 coloop_mask(system, full & ~a, owner))
+        for a, owner in zip(system.sets, owners)))

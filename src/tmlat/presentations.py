@@ -15,7 +15,8 @@ from .core import SetSystem, bit_indices
 
 
 def require_full_rank(system: SetSystem) -> int:
-    r = matching.rank(system, system.ground.full_mask)
+    """The number of sets, once the cached matching pass shows full rank."""
+    r = matching.deletion_reach(system).rank
     if r != system.r:
         raise ValueError(
             f"system of {system.r} sets presents a matroid of rank {r}")
@@ -42,7 +43,7 @@ def reindexing_equivalent(a: SetSystem, b: SetSystem) -> bool:
 
 def deletion_ranks(system: SetSystem) -> list[int]:
     """Rank of the matroid after deleting each set's elements."""
-    return [rk for rk, _ in matching.deletion_reach(system)]
+    return [d.rank for d in matching.deletion_reach(system).sets]
 
 
 def presentation_rank(system: SetSystem) -> int:
@@ -61,18 +62,11 @@ def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     """(set index, element) pairs whose addition preserves the matroid.
 
     Adding e to the i-th set is sound exactly when e is a coloop of the
-    deletion of that set.
+    deletion of that set, which the cached matching pass records.
     """
     require_full_rank(system)
-    full = system.ground.full_mask
-    out = []
-    for i, a in enumerate(system.sets):
-        rest = full & ~a
-        base = matching.rank(system, rest)
-        for e in bit_indices(rest):
-            if matching.rank(system, rest & ~(1 << e)) == base - 1:
-                out.append((i, e))
-    return out
+    return [(i, e) for i, d in enumerate(matching.deletion_reach(system).sets)
+            for e in bit_indices(d.coloops)]
 
 
 def _with_bit(system: SetSystem, i: int, e: int, on: bool) -> SetSystem:
@@ -113,9 +107,9 @@ def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     """
     require_full_rank(system)
     sup = matching.element_supports(system)
-    reach = matching.deletion_reach(system)
+    dels = matching.deletion_reach(system).sets
     return [(i, e) for i, a in enumerate(system.sets) for e in bit_indices(a)
-            if sup[e] & ~(1 << i) & reach[i][1]]
+            if sup[e] & ~(1 << i) & dels[i].reach]
 
 
 @dataclass(frozen=True)

@@ -440,6 +440,8 @@ def check_charmin(r: int = 4, n: int = 8, trials: int = 200,
     Also cross-checks the two lattice constructions and the circuit
     support identity on every sampled instance.
     """
+    if not 2 <= r <= n:
+        raise ValueError(f"charmin checks run for 2 <= r <= {n}")
     t0 = time.perf_counter()
     rep = VerdictReport("charmin", seed=seed)
     rng = random.Random(seed)

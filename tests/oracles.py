@@ -5,13 +5,14 @@ recursion over assignment choices, independence by checking the
 counting condition on every subset.  Family closure is a plain
 fixpoint over all pairs, and the lattice read-offs (covers, heights,
 first occurrences) compare members pairwise or triplewise.  The moves
-between presentations re-match every basis after each single change.
+between presentations re-match every basis after each single change,
+or re-match the deletion of a set without each outside element.
 """
 
 from tmlat import matching
 from tmlat.core import bit_indices, family_key, submasks
 from tmlat.matroid import Matroid
-from tmlat.presentations import _with_bit, addable_pairs, require_full_rank
+from tmlat.presentations import _with_bit, require_full_rank
 
 
 def brute_rank(system, x_mask):
@@ -104,11 +105,25 @@ def brute_removable_pairs(system):
     return out
 
 
+def brute_addable_pairs(system):
+    """Addable (set index, element) pairs by one rank query per pair."""
+    require_full_rank(system)
+    full = system.ground.full_mask
+    out = []
+    for i, a in enumerate(system.sets):
+        rest = full & ~a
+        base = matching.rank(system, rest)
+        for e in bit_indices(rest):
+            if matching.rank(system, rest & ~(1 << e)) == base - 1:
+                out.append((i, e))
+    return out
+
+
 def brute_maximalize(system):
     """Fixpoint of single-element additions, one pair at a time."""
     current = system
     while True:
-        pairs = addable_pairs(current)
+        pairs = brute_addable_pairs(current)
         if not pairs:
             return current
         i, e = pairs[0]

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlat.cli import main
 from tmlat.core import parse_lattice, parse_presentation
@@ -180,6 +184,22 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL synthetic witness" in out
 
 
+@pytest.mark.parametrize("r", ["1", "12"])
+def test_charmin_rank_out_of_range_exits_3(capsys, r):
+    code, out, err = run(capsys, "verify", "charmin", "--r", r)
+    assert code == 3 and out == ""
+    assert err == "error: charmin checks run for 2 <= r <= 8\n"
+
+
+@pytest.mark.parametrize("suite", ["charmin", "threequarters", "intersection"])
+def test_negative_trials_exit_2(capsys, suite):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", suite, "--trials", "-3"])
+    assert err.value.code == 2
+    assert "--trials: expected a non-negative integer, got '-3'" in \
+        capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus-suite"])
@@ -320,3 +340,58 @@ def test_verify_unequal_common_pairs_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "intersection", "--trials", "0")
     assert code == 1
     assert "FAIL sharp pair: {1,2,3,4} is paired with {}" in out
+
+
+# Malformed documents: near-valid presentation, lattice and poset documents
+# with a field dropped or replaced by any JSON value, arbitrary JSON values,
+# and truncated text.  Numbers include a fraction, NaN and Infinity, which
+# Python's JSON reader accepts.
+NUMBERS = st.sampled_from([*range(-1, 8), 2.5, float("nan"), float("inf")])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.floats()
+    | st.text("abcxz12", max_size=2),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(["ground", "sets", "r",
+                                                     "points", "less"]),
+                                    kids, max_size=3)),
+    max_leaves=10)
+NEAR_VALID = st.one_of(
+    st.fixed_dictionaries({
+        "ground": st.lists(st.sampled_from("abcde"), max_size=6),
+        "sets": st.lists(st.lists(st.sampled_from("abcdez"), max_size=4),
+                         max_size=5)}),
+    st.fixed_dictionaries({
+        "r": NUMBERS,
+        "sets": st.lists(st.lists(NUMBERS, max_size=4), max_size=8)}),
+    st.fixed_dictionaries({
+        "points": NUMBERS,
+        "less": st.lists(st.lists(NUMBERS, max_size=3), max_size=5)}))
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = draw(NEAR_VALID | JSON_VALUES)
+    if isinstance(doc, dict) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["lattice", "maximalize", "irreducibles", "ideals"]),
+       malformed_documents())
+def test_malformed_documents_exit_0_or_3(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "-"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 3)
+    assert sum(line.startswith("error:") for line in lines) <= 1
+    assert not any("Traceback" in line for line in lines)

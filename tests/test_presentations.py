@@ -15,7 +15,8 @@ from tmlat.presentations import (PresentationChain, addable_pairs, cover_chain,
                                  reindexing_equivalent, removable_pairs,
                                  require_full_rank, _with_bit)
 
-from .oracles import brute_maximalize, brute_removable_pairs
+from .oracles import (brute_addable_pairs, brute_maximalize,
+                      brute_removable_pairs)
 
 
 def test_preceq(threelines_submaximal, threelines_maximal, u34_first, u34_second):
@@ -216,3 +217,26 @@ def test_removable_pairs_match_the_basis_scan(system):
 @given(presentations_with_coloops())
 def test_maximalize_in_one_pass_matches_the_fixpoint(system):
     assert maximalize(system).sets == brute_maximalize(system).sets
+
+
+@st.composite
+def set_systems(draw):
+    """Any system of 1-6 sets on up to 8 elements, full rank or not."""
+    n = draw(st.integers(0, 8))
+    sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(presentations_with_coloops(), set_systems()))
+def test_addable_pairs_and_full_rank_match_the_rank_scan(system):
+    r = matching.rank(system, system.ground.full_mask)
+    if r == system.r:
+        assert require_full_rank(system) == r
+        assert addable_pairs(system) == brute_addable_pairs(system)
+        return
+    message = f"system of {system.r} sets presents a matroid of rank {r}"
+    for check in (require_full_rank, addable_pairs):
+        with pytest.raises(ValueError) as err:
+            check(system)
+        assert str(err.value) == message
