@@ -14,8 +14,9 @@ import signal
 import sys
 
 from . import extlattice, matching, verify
-from .core import (SetSystem, index_list, lattice_doc, parse_lattice,
-                   parse_presentation, presentation_doc, require_list)
+from .core import (SetSystem, SubsetLattice, index_list, lattice_doc,
+                   parse_lattice, parse_presentation, presentation_doc,
+                   require_int, require_list)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
                             validate_lattice)
@@ -36,6 +37,12 @@ def _read(path: str) -> str:
 
 def _load_presentation(path: str) -> SetSystem:
     return parse_presentation(_read(path))
+
+
+def _load_lattice(path: str) -> SubsetLattice:
+    """Read a lattice file and check it is closed: the one closure check."""
+    lat = parse_lattice(_read(path))
+    return validate_lattice(lat.members, lat.r)
 
 
 def _index_arg(text: str) -> list[int]:
@@ -153,8 +160,7 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_irreducibles(args) -> int:
-    lat = parse_lattice(_read(args.file))
-    lat = validate_lattice(lat.members, lat.r)
+    lat = _load_lattice(args.file)
     join_irr, meet_irr, least = extlattice.irreducibles(lat)
     _emit({"join": [index_list(m) for m in join_irr],
            "meet": [index_list(m) for m in meet_irr],
@@ -164,13 +170,13 @@ def cmd_irreducibles(args) -> int:
 
 
 def cmd_construct_maximal(args) -> int:
-    lat = parse_lattice(_read(args.file))
+    lat = _load_lattice(args.file)
     _emit(presentation_doc(build_maximal_presentation(lat)))
     return 0
 
 
 def cmd_construct_uniform(args) -> int:
-    lat = parse_lattice(_read(args.file))
+    lat = _load_lattice(args.file)
     _emit(presentation_doc(build_uniform_presentation(lat, args.n)))
     return 0
 
@@ -178,7 +184,7 @@ def cmd_construct_uniform(args) -> int:
 def cmd_ideals(args) -> int:
     doc = json.loads(_read(args.file))
     try:
-        points = int(doc["points"])
+        points = require_int(doc["points"], "'points'")
         less = require_list(doc["less"], "'less'")
     except (KeyError, TypeError):
         raise ValueError("poset document needs 'points' and 'less'") from None
@@ -288,7 +294,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OverflowError) as exc:
-        # OverflowError: a JSON Infinity read where an integer belongs.
+        # OverflowError: a count too large to shift into a bitmask, such as
+        # a 21-digit --n.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except json.JSONDecodeError as exc:

@@ -275,6 +275,14 @@ def require_list(value, what: str) -> list:
     return value
 
 
+def require_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; booleans, fractions and strings
+    are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
 def _as_document(text):
     if isinstance(text, (str, bytes)):
         return json.loads(text)
@@ -301,7 +309,7 @@ def parse_lattice(text) -> SubsetLattice:
     """Read a lattice document; members are lists of 1-based indices."""
     doc = _as_document(text)
     try:
-        r = int(doc["r"])
+        r = require_int(doc["r"], "'r'")
         raw = require_list(doc["sets"], "'sets'")
     except (KeyError, TypeError):
         raise ValueError("lattice document needs 'r' and 'sets'") from None
@@ -309,10 +317,8 @@ def parse_lattice(text) -> SubsetLattice:
     for k, entry in enumerate(raw, start=1):
         m = 0
         for i in require_list(entry, f"set {k}"):
-            try:
-                i = int(i)
-            except TypeError:
-                raise ValueError(f"set {k} holds a non-integer index") from None
+            if type(i) is not int:
+                raise ValueError(f"set {k} holds a non-integer index")
             if not 1 <= i <= r:
                 raise ValueError(f"index {i} outside 1..{r}")
             m |= 1 << (i - 1)

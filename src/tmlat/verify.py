@@ -18,14 +18,14 @@ from itertools import permutations
 
 from . import extlattice, matching
 from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                   intersection_closure, mask_of)
+                   closed_sets, intersection_closure, mask_of)
 from .matroid import Matroid
 from .presentations import (cover_chain, is_minimal, maximalize,
                             presentation_rank, reindexing_equivalent,
                             removable_pairs, addable_pairs, _with_bit)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, first_occurrence,
-                            ideals_of_poset, validate_lattice)
+                            ideal_lattice, validate_lattice)
 
 CENSUS_LIMIT = 4  # the census walks 2^(2^r) generator families
 
@@ -201,12 +201,20 @@ def census_sublattices(r: int, min_size: int) -> list[SubsetLattice]:
 
 
 def maximal_proper_sublattices(lat: SubsetLattice) -> list[frozenset[int]]:
-    """Every maximal proper nonempty sublattice, by exhaustive enumeration."""
+    """Every maximal proper nonempty sublattice, by exhaustive enumeration.
+
+    Candidates are met largest first, so a candidate inside a larger one
+    is inside some maximum already found: comparing it with those is
+    enough.
+    """
     lmask = family_mask(lat.members)
-    cands = [f for f in distinct_closed_families(lat.r)
-             if f != lmask and f & ~lmask == 0]
-    out = [f for f in cands
-           if not any(g != f and f & ~g == 0 for g in cands)]
+    cands = sorted((f for f in distinct_closed_families(lat.r)
+                    if f != lmask and f & ~lmask == 0),
+                   key=int.bit_count, reverse=True)
+    out: list[int] = []
+    for f in cands:
+        if not any(f & ~g == 0 for g in out):
+            out.append(f)
     return [family_members(f) for f in sorted(out)]
 
 
@@ -472,6 +480,23 @@ def _height_bound(r: int, j: int) -> int:
     return 1 << (r - 1)
 
 
+def _check_chain(rep: VerdictReport, chain, r: int, where: str) -> int:
+    """Check heights, shrinking lattices and the size bound along a cover
+    chain; return how many of its positions lie at height r or more."""
+    previous = None
+    for j, step in enumerate(chain.steps):
+        if presentation_rank(step) != j:
+            rep.fail(f"{where}: chain step {j} has wrong height")
+        members = extlattice.extension_lattice(step).members
+        if previous is not None and not members <= previous:
+            rep.fail(f"{where}: lattice grew along the chain at {j}")
+        previous = members
+        size = len(members)
+        if size > _height_bound(r, j):
+            rep.fail(f"{where}: height {j} size {size} breaks the bound")
+    return max(0, len(chain.steps) - r)
+
+
 def check_threequarters(r: int = 4, trials: int = 30,
                         seed: int = 20240406) -> VerdictReport:
     """Lattice size against presentation height, with the sharp family."""
@@ -499,27 +524,16 @@ def check_threequarters(r: int = 4, trials: int = 30,
     if len(extlattice.extension_lattice(deep)) > 1 << (r - 1):
         rep.fail("deep witness exceeds the half bound")
 
+    deep_seen = _check_chain(rep, cover_chain(deep), r, "deep witness")
+
     rng = random.Random(seed)
-    deep_seen = 0
     for t in range(trials):
         system = random_presentation(r, rng.randint(r, min(2 * r, 8)),
                                      density=rng.uniform(0.3, 0.9), rng=rng)
-        chain = cover_chain(maximalize(system))
         rep.instances += 1
-        previous = None
-        for j, step in enumerate(chain.steps):
-            if presentation_rank(step) != j:
-                rep.fail(f"trial {t}: chain step {j} has wrong height")
-            members = extlattice.extension_lattice(step).members
-            if previous is not None and not members <= previous:
-                rep.fail(f"trial {t}: lattice grew along the chain at {j}")
-            previous = members
-            size = len(members)
-            if size > _height_bound(r, j):
-                rep.fail(f"trial {t}: height {j} size {size} breaks the bound")
-            if j >= r:
-                deep_seen += 1
-    if trials and deep_seen == 0:
+        deep_seen += _check_chain(rep, cover_chain(maximalize(system)), r,
+                                  f"trial {t}")
+    if deep_seen == 0:
         rep.fail("no deep chain positions sampled")
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -625,13 +639,13 @@ def check_classification(r: int = 4) -> VerdictReport:
 
     powerset = SubsetLattice(r, frozenset(range(1 << r)))
     chain1 = catalog_lattice("implication_chain", r, 1).lattice
+    maxima = {}
     for lat, name in ((powerset, "powerset"), (chain1, "first chain lattice")):
         rep.instances += 1
-        direct = set(maximal_proper_sublattices(lat))
-        predicted = set(interval_predicted_sublattices(lat))
-        if direct != predicted:
+        maxima[name] = maximal_proper_sublattices(lat)
+        if set(maxima[name]) != set(interval_predicted_sublattices(lat)):
             rep.fail(f"{name}: interval rule misses maximal sublattices")
-    direct = maximal_proper_sublattices(powerset)
+    direct = maxima["powerset"]
     rep.instances += 1
     if len(direct) != r * (r - 1):
         rep.fail(f"powerset has {len(direct)} maximal sublattices, "
@@ -653,21 +667,64 @@ def check_classification(r: int = 4) -> VerdictReport:
     return rep
 
 
+def _hasse_choice(below) -> int:
+    """The pairs (i, j), i covered by j, as bits in the pair order
+    [(i, j) for i in range(k) for j in range(k) if i != j]."""
+    k = len(below)
+    choice = 0
+    for j, under in enumerate(below):
+        for i in bit_indices(under):
+            if not any(below[m] >> i & 1 for m in bit_indices(under)):
+                choice |= 1 << (i * (k - 1) + j - (j > i))
+    return choice
+
+
 def _all_poset_lattices(max_points: int):
-    """Distinct order-ideal lattices of all labeled posets on <= max_points."""
-    seen = set()
+    """Order-ideal lattices of all labeled posets on <= max_points, each once.
+
+    An order is a tuple ``below``, ``below[j]`` masking the points under j.
+    Each order on k + 1 points is made once, from its order on the first k:
+    the new point goes over a down-set D and under a disjoint up-set U, and
+    D already lies under U.  Orders of one size come sorted by their Hasse
+    diagrams' pair bits: a walk over every subset of the pairs, closing
+    each one, meets an order first at its Hasse diagram, which is in every
+    generating subset.
+    """
+    level = [()]
     for k in range(max_points + 1):
-        pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)
-                 if i != j]
-        for choice in range(1 << len(pairs)):
-            chosen = [pairs[t] for t in bit_indices(choice)]
-            try:
-                lat = ideals_of_poset(k, chosen)
-            except ValueError:
-                continue
-            if lat.members not in seen:
-                seen.add(lat.members)
-                yield lat
+        ideals = {below: ideal_lattice(below) for below in level}
+        for below in sorted(level, key=_hasse_choice):
+            yield ideals[below]
+        if k == max_points:
+            return
+        point = 1 << k
+        level = [tuple(b | point if up >> j & 1 else b
+                       for j, b in enumerate(below)) + (down,)
+                 for below in level
+                 for down in ideals[below].members
+                 for up in closed_sets(below)
+                 if not down & up
+                 and all(below[u] & down == down for u in bit_indices(up))]
+
+
+def _is_uniform(system: SetSystem) -> bool:
+    """Is every r-subset of the system's n >= r elements independent?
+
+    By Hall's theorem some r-subset is dependent exactly when, for some
+    s < r, s set indices hold the whole supports of more than s elements.
+    One zeta sum over the 2^r index masks counts, for every mask at once,
+    the elements whose supports it holds.
+    """
+    full = system.full_index_mask
+    count = [0] * (full + 1)
+    for sup in matching.element_supports(system):
+        count[sup] += 1
+    for i in range(system.r):
+        bit = 1 << i
+        for m in range(full + 1):
+            if m & bit:
+                count[m] += count[m ^ bit]
+    return all(c <= m.bit_count() for m, c in enumerate(count) if m != full)
 
 
 def check_roundtrip(max_points: int = 4) -> VerdictReport:
@@ -688,6 +745,8 @@ def check_roundtrip(max_points: int = 4) -> VerdictReport:
         occ = first_occurrence(lat)
         for n in (r, r + 1, r + 2):
             system = build_uniform_presentation(lat, n)
+            if not _is_uniform(system):
+                rep.fail(f"uniform build is not uniform at r={r}, n={n}")
             if extlattice.extension_lattice(system).members != lat.members:
                 rep.fail(f"uniform build misses the lattice at r={r}, n={n}")
             for m, part in occ.items():

@@ -6,13 +6,22 @@ counting condition on every subset.  Family closure is a plain
 fixpoint over all pairs, and the lattice read-offs (covers, heights,
 first occurrences) compare members pairwise or triplewise.  The moves
 between presentations re-match every basis after each single change,
-or re-match the deletion of a set without each outside element.
+or re-match the deletion of a set without each outside element.  The
+verify suites' inputs and checks come from the walks they replaced:
+every subset of relation pairs closed and deduplicated, one matching
+per r-subset for uniformity, and maximal sublattices by comparing all
+pairs of candidates.
 """
 
+from itertools import combinations
+
 from tmlat import matching
+from tmlat.constructions import ideals_of_poset
 from tmlat.core import bit_indices, family_key, submasks
 from tmlat.matroid import Matroid
 from tmlat.presentations import _with_bit, require_full_rank
+from tmlat.verify import (distinct_closed_families, family_mask,
+                          family_members)
 
 
 def brute_rank(system, x_mask):
@@ -128,3 +137,43 @@ def brute_maximalize(system):
             return current
         i, e = pairs[0]
         current = _with_bit(current, i, e, True)
+
+
+def brute_poset_lattices(max_points: int):
+    """Distinct order-ideal lattices of all labeled posets on <= max_points."""
+    seen = set()
+    for k in range(max_points + 1):
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)
+                 if i != j]
+        for choice in range(1 << len(pairs)):
+            chosen = [pairs[t] for t in bit_indices(choice)]
+            try:
+                lat = ideals_of_poset(k, chosen)
+            except ValueError:
+                continue
+            if lat.members not in seen:
+                seen.add(lat.members)
+                yield lat
+
+
+def brute_is_uniform(system, r: int, n: int) -> bool:
+    """One matching per r-subset of the ground; above n = 16, full rank only."""
+    if n > 16:
+        return matching.rank(system, system.ground.full_mask) == r
+    for combo in combinations(range(n), r):
+        m = 0
+        for e in combo:
+            m |= 1 << e
+        if not matching.is_independent(system, m):
+            return False
+    return True
+
+
+def brute_maximal_sublattices(lat):
+    """Maximal proper nonempty sublattices, every candidate pair compared."""
+    lmask = family_mask(lat.members)
+    cands = [f for f in distinct_closed_families(lat.r)
+             if f != lmask and f & ~lmask == 0]
+    out = [f for f in cands
+           if not any(g != f and f & ~g == 0 for g in cands)]
+    return [family_members(f) for f in sorted(out)]

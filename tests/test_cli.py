@@ -170,6 +170,78 @@ def test_verify_exit_codes(capsys):
     assert docs[0]["suite"] == "classification" and docs[0]["failures"] == []
 
 
+# What ``tmlat verify all --json`` checks: later speedups of the suites
+# must keep every suite, instance count, seed and failure list.
+VERIFY_ALL_GOLDEN = [
+    {"suite": "charmin", "instances": 200, "seed": 20240406, "failures": []},
+    {"suite": "threequarters", "instances": 35, "seed": 20240406,
+     "failures": []},
+    {"suite": "intersection", "instances": 52, "seed": 20240406,
+     "failures": []},
+    {"suite": "classification", "instances": 5, "seed": None, "failures": []},
+    {"suite": "roundtrip", "instances": 243, "seed": None, "failures": []},
+]
+
+
+def test_verify_all_json_golden(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    assert out == json.dumps(VERIFY_ALL_GOLDEN, indent=2) + "\n"
+
+
+def test_verify_roundtrip_fails_a_non_uniform_build(capsys, monkeypatch):
+    """Drop the last tail element from the first set of every uniform build."""
+    from tmlat import verify
+
+    real = verify.build_uniform_presentation
+
+    def short_tail(lat, n):
+        system = real(lat, n)
+        if n == lat.r:
+            return system
+        sets = (system.sets[0] & ~(1 << (n - 1)),) + system.sets[1:]
+        return dataclasses.replace(system, sets=sets)
+
+    monkeypatch.setattr(verify, "build_uniform_presentation", short_tail)
+    code, out, _ = run(capsys, "verify", "roundtrip")
+    assert code == 1
+    assert "  FAIL uniform build is not uniform at r=2, n=3\n" in out
+
+
+@pytest.mark.parametrize("argv", [["construct-maximal"],
+                                  ["construct-uniform", "--n", "7"]])
+def test_constructions_make_no_matching(capsys, monkeypatch, argv):
+    from tmlat import matching
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a construction entered the matching layer")
+
+    matching.deletion_reach.cache_clear()
+    monkeypatch.setattr(matching, "_max_matching_owner", refuse)
+    code, out, err = run(capsys, argv[0], path("sample_lattice_r6.json"),
+                         *argv[1:])
+    assert code == 0 and err == ""
+    assert json.loads(out)["sets"]
+
+
+@pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],
+                                  ["construct-uniform", "--n", "7"]])
+def test_lattice_files_are_validated_once(capsys, monkeypatch, argv):
+    from tmlat import cli, constructions
+
+    calls = []
+    real = constructions.validate_lattice
+
+    def counted(members, r):
+        calls.append(r)
+        return real(members, r)
+
+    monkeypatch.setattr(cli, "validate_lattice", counted)
+    monkeypatch.setattr(constructions, "validate_lattice", counted)
+    code, _, _ = run(capsys, argv[0], path("sample_lattice_r6.json"), *argv[1:])
+    assert code == 0 and calls == [6]
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from tmlat.verify import VerdictReport
 
@@ -271,6 +343,38 @@ def test_non_list_fields_exit_3(capsys, tmp_path, command, doc, message):
     assert err == f"error: {message}\n"
 
 
+# Integer fields take JSON integers only: no boolean, fraction or
+# numeric string.
+@pytest.mark.parametrize("command, doc, message", [
+    ("irreducibles", {"r": 2.5, "sets": [[], [1.9], [True, 2]]},
+     "'r' must be an integer"),
+    ("irreducibles", {"r": 2.0, "sets": [[], [1], [1, 2]]},
+     "'r' must be an integer"),
+    ("construct-maximal", {"r": True, "sets": [[], [1]]},
+     "'r' must be an integer"),
+    ("irreducibles", {"r": "2", "sets": [[], [1], [1, 2]]},
+     "'r' must be an integer"),
+    ("irreducibles", {"r": 2, "sets": [[], [1.0], [1, 2]]},
+     "set 2 holds a non-integer index"),
+    ("irreducibles", {"r": 2, "sets": [[], [1], [True, 2]]},
+     "set 3 holds a non-integer index"),
+    ("irreducibles", {"r": 2, "sets": [[], ["1"], [1, 2]]},
+     "set 2 holds a non-integer index"),
+    ("ideals", {"points": 2.7, "less": []}, "'points' must be an integer"),
+    ("ideals", {"points": True, "less": []}, "'points' must be an integer"),
+    ("ideals", {"points": "3", "less": [[1, 2]]},
+     "'points' must be an integer"),
+    ("ideals", {"points": 3, "less": [[True, 2]]},
+     "'less' entry 1 must hold two integers"),
+])
+def test_non_integer_fields_exit_3(capsys, tmp_path, command, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_closed_pipe_is_quiet(tmp_path):
     """``tmlat lattice big.json | head -1`` prints nothing to stderr."""
     names = [f"e{i}" for i in range(12)]
@@ -345,8 +449,10 @@ def test_verify_unequal_common_pairs_exit_1(capsys, monkeypatch):
 # Malformed documents: near-valid presentation, lattice and poset documents
 # with a field dropped or replaced by any JSON value, arbitrary JSON values,
 # and truncated text.  Numbers include a fraction, NaN and Infinity, which
-# Python's JSON reader accepts.
-NUMBERS = st.sampled_from([*range(-1, 8), 2.5, float("nan"), float("inf")])
+# Python's JSON reader accepts, and the values an integer field refuses:
+# booleans, a whole fraction and a numeric string.
+NUMBERS = st.sampled_from([*range(-1, 8), 2.5, float("nan"), float("inf"),
+                           True, False, 2.0, "3"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.floats()
     | st.text("abcxz12", max_size=2),

@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from tmlat.core import SubsetLattice, bit_indices
+from tmlat.constructions import build_uniform_presentation
+from tmlat.core import GroundSet, SetSystem, SubsetLattice, bit_indices
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import (is_minimal, presentation_rank,
@@ -17,8 +21,10 @@ from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           maximal_proper_sublattices, near_uniform_minimal,
                           presentation_walk, random_presentation,
                           sharp_chain_presentation, sharp_common_pair)
+from tmlat.verify import _all_poset_lattices, _is_uniform
 
-from .oracles import union_intersection_closure
+from .oracles import (brute_is_uniform, brute_maximal_sublattices,
+                      brute_poset_lattices, union_intersection_closure)
 
 
 def test_catalog_sizes():
@@ -254,6 +260,63 @@ def test_check_classification_passes():
     for r in (3, 4):
         rep = check_classification(r)
         assert rep.ok, rep.failures
+
+
+def test_check_threequarters_counts_the_deep_witness_chain():
+    """Both random chains here stop below height r; the deep witness's does not."""
+    rep = check_threequarters(r=4, trials=2, seed=1809612080)
+    assert rep.ok, rep.failures
+    assert rep.instances == 2 + 4 + 1
+
+
+@pytest.mark.parametrize("max_points", range(5))
+def test_poset_lattices_match_the_pair_walk(max_points):
+    """One-point extension gives the pair walk's lattices in its order."""
+    fast = [(lat.r, lat.members) for lat in _all_poset_lattices(max_points)]
+    slow = [(lat.r, lat.members) for lat in brute_poset_lattices(max_points)]
+    assert fast == slow
+    assert Counter(r for r, _ in fast) == dict(
+        enumerate([1, 1, 3, 19, 219][:max_points + 1]))
+
+
+ROUNDTRIP_LATTICES = [lat for lat in _all_poset_lattices(4) if lat.r]
+
+
+@st.composite
+def systems_near_uniform(draw):
+    """Uniform builds with up to two memberships dropped, or random sets;
+    n >= r throughout."""
+    if draw(st.booleans()):
+        lat = draw(st.sampled_from(ROUNDTRIP_LATTICES))
+        system = build_uniform_presentation(lat, draw(st.integers(lat.r, lat.r + 3)))
+        sets = list(system.sets)
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(sets) - 1))
+            sets[i] &= ~(1 << draw(st.integers(0, system.ground.n - 1)))
+        return SetSystem(system.ground, tuple(sets))
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 8))
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return SetSystem(ground, tuple(draw(st.integers(0, ground.full_mask))
+                                   for _ in range(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_near_uniform())
+def test_is_uniform_matches_the_subset_scan(system):
+    verdict = _is_uniform(system)
+    event(f"uniform: {verdict}")
+    assert verdict == brute_is_uniform(system, system.r, system.ground.n)
+
+
+def test_maximal_sublattices_match_the_pair_scan():
+    """Every closed family at r <= 3, and the r = 4 lattices classification uses."""
+    lattices = [SubsetLattice(r, family_members(f)) for r in (1, 2, 3)
+                for f in distinct_closed_families(r)]
+    lattices += [SubsetLattice(4, frozenset(range(16))),
+                 catalog_lattice("implication_chain", 4, 1).lattice]
+    for lat in lattices:
+        assert maximal_proper_sublattices(lat) == brute_maximal_sublattices(lat)
 
 
 def test_check_roundtrip_small():
