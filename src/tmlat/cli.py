@@ -15,8 +15,8 @@ import sys
 
 from . import extlattice, matching, verify
 from .core import (SetSystem, SubsetLattice, index_list, lattice_doc,
-                   parse_lattice, parse_presentation, presentation_doc,
-                   require_int, require_list)
+                   lattice_text, parse_lattice, parse_presentation,
+                   presentation_doc, require_int, require_list)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
                             validate_lattice)
@@ -79,13 +79,16 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def cmd_lattice(args) -> int:
-    system = _load_presentation(args.file)
-    lat = extlattice.extension_lattice(system)
-    if args.dot:
+def _emit_lattice(lat: SubsetLattice, dot: bool) -> None:
+    if dot:
         sys.stdout.write(extlattice.hasse_dot(lat))
     else:
-        _emit(lattice_doc(lat))
+        print(lattice_text(lat))
+
+
+def cmd_lattice(args) -> int:
+    system = _load_presentation(args.file)
+    _emit_lattice(extlattice.extension_lattice(system), args.dot)
     return 0
 
 
@@ -192,11 +195,7 @@ def cmd_ideals(args) -> int:
         require_list(pair, f"'less' entry {k}")
         if len(pair) != 2 or not all(type(i) is int for i in pair):
             raise ValueError(f"'less' entry {k} must hold two integers")
-    lat = ideals_of_poset(points, less)
-    if args.dot:
-        sys.stdout.write(extlattice.hasse_dot(lat))
-    else:
-        _emit(lattice_doc(lat))
+    _emit_lattice(ideals_of_poset(points, less), args.dot)
     return 0
 
 
@@ -227,70 +226,78 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = ("file", {"help": "input path, or - for stdin"})
+_DOT = ("--dot", {"action": "store_true", "help": "emit a Hasse diagram"})
+_SET = ("--set", {"required": True, "type": _index_arg,
+                 "help": "comma-separated 1-based indices"})
+_LABELS = ("--keep", {"help": "comma-separated element labels"})
+
+# name: (function, help text, arguments as (name, add_argument options))
+COMMANDS = {
+    "lattice": (cmd_lattice, "closed index sets of a presentation",
+                (_FILE, _DOT)),
+    "sigma": (cmd_sigma, "closure of an index set", (_FILE, _SET)),
+    "extend": (cmd_extend, "adjoin a fresh element to the given sets",
+               (_FILE, _SET)),
+    "maximalize": (cmd_maximalize, "greatest presentation of the matroid",
+                   (_FILE,)),
+    "minimal": (cmd_minimal, "minimal presentations below the input",
+                (_FILE, ("--keep", {"help": "labels whose supports must be "
+                                           "preserved"}))),
+    "rank": (cmd_rank, "rank of a subset (default: the whole ground)",
+             (_FILE, _LABELS)),
+    "supports": (cmd_supports, "support of a subset, or all supports",
+                 (_FILE, _LABELS)),
+    "t-lattice": (cmd_t_lattice, "extension matroids of the closed sets",
+                  (_FILE,)),
+    "intersect": (cmd_intersect, "common extensions of two presentations",
+                  (_FILE, ("other", {"help": "second presentation path"}))),
+    "irreducibles": (cmd_irreducibles, "irreducible members of a lattice file",
+                     (_FILE,)),
+    "construct-maximal": (cmd_construct_maximal,
+                          "maximal presentation realizing a lattice file",
+                          (_FILE,)),
+    "construct-uniform": (cmd_construct_uniform,
+                          "uniform presentation realizing a lattice file",
+                          (_FILE, ("--n", {"type": int, "required": True,
+                                          "help": "ground size"}))),
+    "ideals": (cmd_ideals, "order-ideal lattice of a poset file", (_FILE, _DOT)),
+    "verify": (cmd_verify, "run a verification suite",
+               (("suite", {"choices": SUITES}),
+                ("--r", {"type": int, "default": 4}),
+                ("--trials", {"type": _count_arg, "default": 50}),
+                ("--seed", {"type": int, "default": 20240406}),
+                ("--json", {"action": "store_true",
+                            "help": "emit reports as JSON"}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser only, or with every one.
+
+    A one-command parser still names every command in its usage line,
+    so its messages match the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="tmlat",
         description="Presentations of transversal matroids and their "
                     "extension lattices.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *, takes_file=True):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if takes_file:
-            p.add_argument("file", help="input path, or - for stdin")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
-        return p
-
-    p = add("lattice", cmd_lattice, "closed index sets of a presentation")
-    p.add_argument("--dot", action="store_true", help="emit a Hasse diagram")
-
-    p = add("sigma", cmd_sigma, "closure of an index set")
-    p.add_argument("--set", required=True, type=_index_arg,
-                   help="comma-separated 1-based indices")
-
-    p = add("extend", cmd_extend, "adjoin a fresh element to the given sets")
-    p.add_argument("--set", required=True, type=_index_arg,
-                   help="comma-separated 1-based indices")
-
-    add("maximalize", cmd_maximalize, "greatest presentation of the matroid")
-
-    p = add("minimal", cmd_minimal, "minimal presentations below the input")
-    p.add_argument("--keep", help="labels whose supports must be preserved")
-
-    p = add("rank", cmd_rank, "rank of a subset (default: the whole ground)")
-    p.add_argument("--keep", help="comma-separated element labels")
-
-    p = add("supports", cmd_supports, "support of a subset, or all supports")
-    p.add_argument("--keep", help="comma-separated element labels")
-
-    add("t-lattice", cmd_t_lattice, "extension matroids of the closed sets")
-
-    p = add("intersect", cmd_intersect, "common extensions of two presentations")
-    p.add_argument("other", help="second presentation path")
-
-    add("irreducibles", cmd_irreducibles, "irreducible members of a lattice file")
-    add("construct-maximal", cmd_construct_maximal,
-        "maximal presentation realizing a lattice file")
-
-    p = add("construct-uniform", cmd_construct_uniform,
-            "uniform presentation realizing a lattice file")
-    p.add_argument("--n", type=int, required=True, help="ground size")
-
-    p = add("ideals", cmd_ideals, "order-ideal lattice of a poset file")
-    p.add_argument("--dot", action="store_true", help="emit a Hasse diagram")
-
-    p = add("verify", cmd_verify, "run a verification suite", takes_file=False)
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--trials", type=_count_arg, default=50)
-    p.add_argument("--seed", type=int, default=20240406)
-    p.add_argument("--json", action="store_true", help="emit reports as JSON")
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OverflowError) as exc:

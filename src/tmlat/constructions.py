@@ -11,12 +11,22 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices, closed_sets,
-                   family_key, index_list, mask_of)
+from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
+                   bit_indices, closed_sets, family_key, index_list,
+                   least_containing, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
-    """Check closure under union/intersection and presence of {} and [r]."""
+    """Check closure under union/intersection and presence of {} and [r].
+
+    With {} in L, L is closed exactly when ``m | least[i]`` is in L for
+    every member m and index i, where ``least[i]`` is the intersection
+    of the members holding i (m = {} puts each ``least[i]`` in L): each
+    member is the union of the ``least[i]`` of its indices, and so is
+    each intersection of two.  That takes O(|L|·r) steps.  Only a family
+    that fails it meets the pairwise scan, which names the first missing
+    union or intersection.
+    """
     mem = frozenset(members)
     full = (1 << r) - 1
     if 0 not in mem:
@@ -26,6 +36,9 @@ def validate_lattice(members, r: int) -> SubsetLattice:
     for a in mem:
         if a & ~full:
             raise ValueError("member outside the index range")
+    least = set(least_containing(mem).values())
+    if all(m | j in mem for j in least for m in mem):
+        return SubsetLattice(r, mem)
     for a, b in combinations(mem, 2):
         if (a | b) not in mem:
             raise ValueError(f"union of {index_list(a)} and "
@@ -89,6 +102,8 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     ``lat`` is trusted to be closed and to hold the empty set and [r];
     ``verify`` checks the result is uniform.
     """
+    if n > MAX_ELEMENTS:  # before n names and a 2^n mask are built
+        raise ValueError(f"ground set larger than {MAX_ELEMENTS} elements")
     r = lat.r
     if n < r:
         raise ValueError("n must be at least the number of sets")

@@ -146,6 +146,24 @@ def make_system(names, sets_of_labels) -> SetSystem:
     return SetSystem(ground, tuple(ground.mask(s) for s in sets_of_labels))
 
 
+def least_containing(members) -> dict[int, int]:
+    """Map each index some member holds to the intersection of those members.
+
+    Keys ascend.  In a family closed under intersection the image of i
+    is the least member containing i; its distinct images other than
+    the bottom are the join-irreducibles, which determine the whole
+    lattice (Birkhoff).  Takes O(|L|·r) steps.
+    """
+    top = 0
+    for m in members:
+        top |= m
+    least = dict.fromkeys(bit_indices(top), top)
+    for m in members:
+        for i in bit_indices(m):
+            least[i] &= m
+    return least
+
+
 @dataclass(frozen=True)
 class SubsetLattice:
     """A family of subsets of ``[r]``, read as a lattice under containment.
@@ -185,21 +203,8 @@ class SubsetLattice:
         return (1 << self.r) - 1
 
     def least_containing(self) -> dict[int, int]:
-        """Map each index some member holds to the intersection of those members.
-
-        Keys ascend.  In a family closed under intersection the image of i
-        is the least member containing i; its distinct images other than
-        the bottom are the join-irreducibles, which determine the whole
-        lattice (Birkhoff).  Takes O(|L|·r) steps.
-        """
-        top = 0
-        for m in self.members:
-            top |= m
-        least = dict.fromkeys(bit_indices(top), top)
-        for m in self.members:
-            for i in bit_indices(m):
-                least[i] &= m
-        return least
+        """``least_containing(self.members)``."""
+        return least_containing(self.members)
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lower, upper) of the containment order on members.
@@ -340,12 +345,37 @@ def lattice_doc(lat: SubsetLattice) -> dict:
             "sets": [[i + 1 for i in bit_indices(m)] for m in lat.sorted_members()]}
 
 
+def lattice_text(lat: SubsetLattice) -> str:
+    """``json.dumps(lattice_doc(lat), indent=2)``, written directly.
+
+    Python's indenting encoder is its pure-Python one; this builds the
+    same text from one line string per index.  A member whose top index
+    leaves a nonempty member behind extends that member's entry.
+    """
+    lines = [f"      {i + 1}" for i in range(lat.r)]
+    sets: dict[int, str] = {}  # member -> its entry, in sorted order
+    for m in lat.sorted_members():
+        if not m:
+            sets[m] = "    []"
+            continue
+        top = m.bit_length() - 1
+        rest = m ^ (1 << top)
+        if rest and rest in sets:
+            # [6:-6] drops the entry's "    [\n" and "\n    ]".
+            text = sets[rest][6:-6] + ",\n" + lines[top]
+        else:
+            text = ",\n".join([lines[i] for i in bit_indices(m)])
+        sets[m] = f"    [\n{text}\n    ]"
+    if not sets:
+        return f'{{\n  "r": {lat.r},\n  "sets": []\n}}'
+    return (f'{{\n  "r": {lat.r},\n  "sets": [\n' + ",\n".join(sets.values())
+            + "\n  ]\n}")
+
+
 def serialize(value) -> str:
     """Canonical JSON for a SetSystem or SubsetLattice; round-trips exactly."""
     if isinstance(value, SetSystem):
-        doc = presentation_doc(value)
-    elif isinstance(value, SubsetLattice):
-        doc = lattice_doc(value)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-    return json.dumps(doc, indent=2)
+        return json.dumps(presentation_doc(value), indent=2)
+    if isinstance(value, SubsetLattice):
+        return lattice_text(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")

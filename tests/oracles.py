@@ -10,14 +10,17 @@ or re-match the deletion of a set without each outside element.  The
 verify suites' inputs and checks come from the walks they replaced:
 every subset of relation pairs closed and deduplicated, one matching
 per r-subset for uniformity, and maximal sublattices by comparing all
-pairs of candidates.
+pairs of candidates.  Lattice files are checked by visiting every pair
+of members and written by Python's indenting JSON encoder.
 """
 
+import json
 from itertools import combinations
 
 from tmlat import matching
 from tmlat.constructions import ideals_of_poset
-from tmlat.core import bit_indices, family_key, submasks
+from tmlat.core import (SubsetLattice, bit_indices, family_key, index_list,
+                        lattice_doc, submasks)
 from tmlat.matroid import Matroid
 from tmlat.presentations import _with_bit, require_full_rank
 from tmlat.verify import (distinct_closed_families, family_mask,
@@ -60,6 +63,32 @@ def union_intersection_closure(members, r: int) -> frozenset[int]:
                         fam.add(c)
                         changed = True
     return frozenset(fam)
+
+
+def brute_validate_lattice(members, r: int) -> SubsetLattice:
+    """Check closure under union/intersection and presence of {} and [r]."""
+    mem = frozenset(members)
+    full = (1 << r) - 1
+    if 0 not in mem:
+        raise ValueError("the empty set is missing")
+    if full not in mem:
+        raise ValueError("the full index set is missing")
+    for a in mem:
+        if a & ~full:
+            raise ValueError("member outside the index range")
+    for a, b in combinations(mem, 2):
+        if (a | b) not in mem:
+            raise ValueError(f"union of {index_list(a)} and "
+                             f"{index_list(b)} is missing")
+        if (a & b) not in mem:
+            raise ValueError(f"intersection of {index_list(a)} and "
+                             f"{index_list(b)} is missing")
+    return SubsetLattice(r, mem)
+
+
+def brute_lattice_text(lat) -> str:
+    """A lattice document as the indenting JSON encoder writes it."""
+    return json.dumps(lattice_doc(lat), indent=2)
 
 
 def brute_covers(lat):

@@ -501,3 +501,68 @@ def test_malformed_documents_exit_0_or_3(command, text):
     assert code in (0, 3)
     assert sum(line.startswith("error:") for line in lines) <= 1
     assert not any("Traceback" in line for line in lines)
+
+
+@pytest.mark.parametrize("n", ["200000", str(10 ** 20)])
+def test_construct_uniform_refuses_a_large_n_first(capsys, monkeypatch, n):
+    """No ground of n names and no 2^n mask is built before the refusal."""
+    def refuse(names):
+        raise AssertionError("a ground set was built")
+
+    monkeypatch.setattr("tmlat.constructions.GroundSet", refuse)
+    code, out, err = run(capsys, "construct-uniform",
+                         path("sample_lattice_r6.json"), "--n", n)
+    assert (code, out, err) == (3, "", "error: ground set larger than 64 elements\n")
+
+
+# One argument vector per command, using each of its options.
+SAMPLE_ARGV = {
+    "lattice": ["lattice", "-", "--dot"],
+    "sigma": ["sigma", "p.json", "--set", "1,3"],
+    "extend": ["extend", "p.json", "--set", ""],
+    "maximalize": ["maximalize", "p.json"],
+    "minimal": ["minimal", "p.json", "--keep", "a,b"],
+    "rank": ["rank", "p.json", "--keep", "a"],
+    "supports": ["supports", "p.json", "--keep", "c"],
+    "t-lattice": ["t-lattice", "p.json"],
+    "intersect": ["intersect", "a.json", "b.json"],
+    "irreducibles": ["irreducibles", "l.json"],
+    "construct-maximal": ["construct-maximal", "l.json"],
+    "construct-uniform": ["construct-uniform", "l.json", "--n", "9"],
+    "ideals": ["ideals", "q.json", "--dot"],
+    "verify": ["verify", "charmin", "--r", "3", "--trials", "2", "--seed", "5",
+               "--json"],
+}
+
+
+def _help(parser, name):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args([name, "-h"])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_ARGV))
+def test_one_command_parser_matches_the_full_parser(monkeypatch, name):
+    from tmlat.cli import COMMANDS, build_parser
+
+    assert list(SAMPLE_ARGV) == list(COMMANDS)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(build_parser(name), name) == _help(build_parser(), name)
+    argv = SAMPLE_ARGV[name]
+    assert build_parser(name).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run(capsys, "lattice", path("u34_first.json"))
+    assert code == 0 and built == ["tmlat", "tmlat lattice"]

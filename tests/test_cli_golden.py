@@ -1,0 +1,117 @@
+"""Golden CLI calls: exit code and the sha256 of stdout and stderr.
+
+Each call runs in process with ``COLUMNS=80``, so help text wraps the
+same way everywhere.  The table pins the bytes the CLI wrote before its
+parser, lattice writer and validator were made cheaper; any change to
+output must show up here.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tmlat.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+PRESENTATIONS = ["meet_pair_a.json", "meet_pair_b.json", "minmax4.json",
+                 "threelines_maximal.json", "threelines_submaximal.json",
+                 "u34_first.json", "u34_maximal.json", "u34_minimal.json",
+                 "u34_second.json"]
+LATTICES = ["sample_lattice_r6.json", "nonclosed_meet_r3.json",
+            "nonclosed_join_r6.json"]
+COMMAND_NAMES = ["lattice", "sigma", "extend", "maximalize", "minimal", "rank",
+                 "supports", "t-lattice", "intersect", "irreducibles",
+                 "construct-maximal", "construct-uniform", "ideals", "verify"]
+
+CALLS = (
+    [["lattice", f] for f in PRESENTATIONS]
+    + [["lattice", "--dot", f] for f in PRESENTATIONS]
+    + [argv for f in LATTICES
+       for argv in (["irreducibles", f], ["construct-maximal", f],
+                    ["construct-uniform", f, "--n", "7"])]
+    + [["ideals", "poset_vee.json"], ["ideals", "--dot", "poset_vee.json"]]
+    + [["-h"]] + [[name, "-h"] for name in COMMAND_NAMES]
+    # Usage errors print the usage line of the parser that saw them.
+    + [[], ["bogus"], ["lattice"], ["lattice", "u34_first.json", "--bogus"],
+       ["verify", "bogus-suite"],
+       ["construct-uniform", "sample_lattice_r6.json", "--n", "x"]])
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def call(argv):
+    """(exit code, stdout digest, stderr digest) of ``tmlat argv``."""
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _digest(out.getvalue()), _digest(err.getvalue())
+
+
+GOLDEN = {
+    'lattice meet_pair_a.json': (0, 'c16c67b87bfd46e9', 'e3b0c44298fc1c14'),
+    'lattice meet_pair_b.json': (0, 'c16c67b87bfd46e9', 'e3b0c44298fc1c14'),
+    'lattice minmax4.json': (0, 'c16c67b87bfd46e9', 'e3b0c44298fc1c14'),
+    'lattice threelines_maximal.json': (0, 'ac8e1fa0a2ce8e8a', 'e3b0c44298fc1c14'),
+    'lattice threelines_submaximal.json': (0, '12c9e268863877a7', 'e3b0c44298fc1c14'),
+    'lattice u34_first.json': (0, '69d5cabdcdb3775c', 'e3b0c44298fc1c14'),
+    'lattice u34_maximal.json': (0, '69d5cabdcdb3775c', 'e3b0c44298fc1c14'),
+    'lattice u34_minimal.json': (0, 'c1d0edeec9a67efa', 'e3b0c44298fc1c14'),
+    'lattice u34_second.json': (0, '69d5cabdcdb3775c', 'e3b0c44298fc1c14'),
+    'lattice --dot meet_pair_a.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
+    'lattice --dot meet_pair_b.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
+    'lattice --dot minmax4.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
+    'lattice --dot threelines_maximal.json': (0, 'df517784389c68e2', 'e3b0c44298fc1c14'),
+    'lattice --dot threelines_submaximal.json': (0, '1b9264a125db1f19', 'e3b0c44298fc1c14'),
+    'lattice --dot u34_first.json': (0, 'bc1fe0ff29829c13', 'e3b0c44298fc1c14'),
+    'lattice --dot u34_maximal.json': (0, 'bc1fe0ff29829c13', 'e3b0c44298fc1c14'),
+    'lattice --dot u34_minimal.json': (0, '21c1f79024d43e66', 'e3b0c44298fc1c14'),
+    'lattice --dot u34_second.json': (0, 'bc1fe0ff29829c13', 'e3b0c44298fc1c14'),
+    'irreducibles sample_lattice_r6.json': (0, '0dc9e62653c672c8', 'e3b0c44298fc1c14'),
+    'construct-maximal sample_lattice_r6.json': (0, '374d151dea9bf818', 'e3b0c44298fc1c14'),
+    'construct-uniform sample_lattice_r6.json --n 7': (0, '2b45cb124858a5b8', 'e3b0c44298fc1c14'),
+    'irreducibles nonclosed_meet_r3.json': (3, 'e3b0c44298fc1c14', 'ce61a209829e4cbb'),
+    'construct-maximal nonclosed_meet_r3.json': (3, 'e3b0c44298fc1c14', 'ce61a209829e4cbb'),
+    'construct-uniform nonclosed_meet_r3.json --n 7': (3, 'e3b0c44298fc1c14', 'ce61a209829e4cbb'),
+    'irreducibles nonclosed_join_r6.json': (3, 'e3b0c44298fc1c14', 'f03d07c8a2165e82'),
+    'construct-maximal nonclosed_join_r6.json': (3, 'e3b0c44298fc1c14', 'f03d07c8a2165e82'),
+    'construct-uniform nonclosed_join_r6.json --n 7': (3, 'e3b0c44298fc1c14', 'f03d07c8a2165e82'),
+    'ideals poset_vee.json': (0, '3caec79bde258c21', 'e3b0c44298fc1c14'),
+    'ideals --dot poset_vee.json': (0, '51f2cbd2d6b89f0d', 'e3b0c44298fc1c14'),
+    '-h': (0, 'fb24e84bcb4ea9f4', 'e3b0c44298fc1c14'),
+    'lattice -h': (0, 'e8c18aba3502deb8', 'e3b0c44298fc1c14'),
+    'sigma -h': (0, 'e72ba0356b928134', 'e3b0c44298fc1c14'),
+    'extend -h': (0, '7d3d77cc6f79846b', 'e3b0c44298fc1c14'),
+    'maximalize -h': (0, '2874935d64d7042d', 'e3b0c44298fc1c14'),
+    'minimal -h': (0, '2865859330b3e283', 'e3b0c44298fc1c14'),
+    'rank -h': (0, '8085a7251405189a', 'e3b0c44298fc1c14'),
+    'supports -h': (0, '71ea5bd8caad53b8', 'e3b0c44298fc1c14'),
+    't-lattice -h': (0, 'bcfd09cf1ae7fab1', 'e3b0c44298fc1c14'),
+    'intersect -h': (0, '67930e3496858141', 'e3b0c44298fc1c14'),
+    'irreducibles -h': (0, '3f02bfbf1584eae6', 'e3b0c44298fc1c14'),
+    'construct-maximal -h': (0, 'fb12de60aef3a34f', 'e3b0c44298fc1c14'),
+    'construct-uniform -h': (0, '138d2dcc7aae48f9', 'e3b0c44298fc1c14'),
+    'ideals -h': (0, '1942f90ff23a0e3d', 'e3b0c44298fc1c14'),
+    'verify -h': (0, '2ced0bbb94b18003', 'e3b0c44298fc1c14'),
+    '': (2, 'e3b0c44298fc1c14', '0473460e641ca3c5'),
+    'bogus': (2, 'e3b0c44298fc1c14', 'af535f0ea2bd18fe'),
+    'lattice': (2, 'e3b0c44298fc1c14', '685445497802ee90'),
+    'lattice u34_first.json --bogus': (2, 'e3b0c44298fc1c14', 'f24e8388ef8508b6'),
+    'verify bogus-suite': (2, 'e3b0c44298fc1c14', 'fe41dca24236e53c'),
+    'construct-uniform sample_lattice_r6.json --n x': (2, 'e3b0c44298fc1c14', '0e17dad74e969ee5'),
+}
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_output_matches_golden(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert call(argv) == GOLDEN[" ".join(argv)]

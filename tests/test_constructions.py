@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from tmlat.extlattice import extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import is_maximal
 
-from .oracles import brute_covers, brute_first_occurrence, brute_heights
+from .oracles import (brute_covers, brute_first_occurrence, brute_heights,
+                      brute_validate_lattice)
 
 SAMPLE_R6 = frozenset([0, 0b000001, 0b000111, 0b011001, 0b011111, 0b111111])
 
@@ -188,3 +191,63 @@ def test_read_offs_match_pairwise_oracles(lat):
     assert lat.heights() == brute_heights(lat)
     occ = first_occurrence(lat)
     assert list(occ.items()) == list(brute_first_occurrence(lat).items())
+
+
+def _verdict(validator, members, r):
+    """The lattice a validator returns, or the text of its ValueError."""
+    try:
+        lat = validator(members, r)
+    except ValueError as exc:
+        return str(exc)
+    return lat.r, lat.members
+
+
+@st.composite
+def flipped_ideal_lattices(draw):
+    """An ideal lattice with up to two index sets added or taken away."""
+    lat = draw(poset_ideal_lattices())
+    flips = draw(st.lists(st.integers(0, lat.full_mask), max_size=2))
+    return lat.members.symmetric_difference(flips), lat.r
+
+
+@st.composite
+def random_families(draw):
+    """Any family over [r], r <= 6, often holding {} and [r]; some members
+    may lie one index out of range."""
+    r = draw(st.integers(0, 6))
+    full = (1 << r) - 1
+    members = set(draw(st.frozensets(st.integers(0, 2 * full + 1),
+                                     max_size=12)))
+    if draw(st.integers(0, 3)):
+        members |= {0, full}
+    return frozenset(members), r
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(flipped_ideal_lattices(), random_families()))
+def test_validate_lattice_matches_pairwise_oracle(family):
+    """Same verdict and, on a failure, the same first message."""
+    members, r = family
+    assert (_verdict(validate_lattice, members, r)
+            == _verdict(brute_validate_lattice, members, r))
+
+
+def _refuse_pairs(*args):
+    raise AssertionError("a valid lattice reached the pairwise scan")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(poset_ideal_lattices(), extension_lattices()))
+def test_valid_lattices_skip_the_pairwise_scan(lat):
+    """A closed family passes the linear test; only a failure meets the pairs."""
+    with mock.patch("tmlat.constructions.combinations", _refuse_pairs):
+        assert validate_lattice(lat.members, lat.r).members == lat.members
+
+
+def test_powerset_r14_skips_the_pairwise_scan():
+    powerset = frozenset(range(1 << 14))
+    with mock.patch("tmlat.constructions.combinations", _refuse_pairs):
+        assert validate_lattice(powerset, 14).members == powerset
+    with mock.patch("tmlat.constructions.combinations", _refuse_pairs), \
+            pytest.raises(AssertionError, match="pairwise"):
+        validate_lattice(powerset - {0b11}, 14)

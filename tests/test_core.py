@@ -3,11 +3,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, intersection_closure, lattice_doc,
-                        make_system, mask_of, parse_lattice,
+                        lattice_text, make_system, mask_of, parse_lattice,
                         parse_presentation, serialize, submasks)
+
+from .oracles import brute_lattice_text
 
 
 def test_bit_helpers():
@@ -105,6 +109,36 @@ def test_serialize_lattice_canonical_order():
 def test_serialize_single_empty_member():
     lat = SubsetLattice(3, frozenset([0]))
     assert json.loads(serialize(lat)) == {"r": 3, "sets": [[]]}
+
+
+@st.composite
+def subset_families(draw):
+    """Any family over [r], r <= 10: sparse, or the powerset less a few sets.
+
+    Families may be empty or lack the empty set; the dense ones make most
+    members reuse the lines of a member one index smaller.
+    """
+    r = draw(st.integers(0, 10))
+    masks = st.integers(0, (1 << r) - 1)
+    if draw(st.booleans()):
+        return SubsetLattice(r, draw(st.frozensets(masks, max_size=40)))
+    dropped = draw(st.frozensets(masks, max_size=8))
+    return SubsetLattice(r, frozenset(range(1 << r)) - dropped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_families())
+def test_lattice_text_matches_the_indenting_encoder(lat):
+    assert lattice_text(lat) == brute_lattice_text(lat)
+    assert serialize(lat) == lattice_text(lat)
+
+
+def test_lattice_text_edge_families():
+    for lat in (SubsetLattice(0, frozenset()), SubsetLattice(0, frozenset([0])),
+                SubsetLattice(3, frozenset()), SubsetLattice(3, frozenset([0])),
+                SubsetLattice(3, frozenset([0b100, 0b111])),
+                SubsetLattice(10, frozenset(range(1 << 10)))):
+        assert lattice_text(lat) == brute_lattice_text(lat)
 
 
 def test_intersection_closure():
