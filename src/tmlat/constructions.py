@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
-                   bit_indices, closed_sets, family_key, index_list,
-                   least_containing, mask_of)
+                   bit_indices, closed_sets, family_key, index_list, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -25,7 +24,8 @@ def validate_lattice(members, r: int) -> SubsetLattice:
     member is the union of the ``least[i]`` of its indices, and so is
     each intersection of two.  That takes O(|L|·r) steps.  Only a family
     that fails it meets the pairwise scan, which names the first missing
-    union or intersection.
+    union or intersection.  The lattice returned already holds the
+    least-containing map, so later read-offs do not rebuild it.
     """
     mem = frozenset(members)
     full = (1 << r) - 1
@@ -33,12 +33,10 @@ def validate_lattice(members, r: int) -> SubsetLattice:
         raise ValueError("the empty set is missing")
     if full not in mem:
         raise ValueError("the full index set is missing")
-    for a in mem:
-        if a & ~full:
-            raise ValueError("member outside the index range")
-    least = set(least_containing(mem).values())
+    lat = SubsetLattice(r, mem)  # refuses members outside the index range
+    least = set(lat.least_containing().values())
     if all(m | j in mem for j in least for m in mem):
-        return SubsetLattice(r, mem)
+        return lat
     for a, b in combinations(mem, 2):
         if (a | b) not in mem:
             raise ValueError(f"union of {index_list(a)} and "
@@ -46,7 +44,7 @@ def validate_lattice(members, r: int) -> SubsetLattice:
         if (a & b) not in mem:
             raise ValueError(f"intersection of {index_list(a)} and "
                              f"{index_list(b)} is missing")
-    return SubsetLattice(r, mem)
+    return lat
 
 
 def first_occurrence(lat: SubsetLattice) -> dict[int, int]:

@@ -9,7 +9,9 @@ All values here are immutable after construction.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 # Exhaustive 2^n sweeps appear in the oracles, so instances stay desk-sized.
 MAX_ELEMENTS = 64
@@ -177,6 +179,8 @@ class SubsetLattice:
 
     r: int
     members: frozenset[int]
+    _least: Mapping[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 0 or self.r > MAX_SETS:
@@ -202,9 +206,15 @@ class SubsetLattice:
     def full_mask(self) -> int:
         return (1 << self.r) - 1
 
-    def least_containing(self) -> dict[int, int]:
-        """``least_containing(self.members)``."""
-        return least_containing(self.members)
+    def least_containing(self) -> Mapping[int, int]:
+        """``least_containing(self.members)``, computed once per lattice.
+
+        Every caller shares the one map, so it is read-only.
+        """
+        if self._least is None:
+            object.__setattr__(self, "_least",
+                               MappingProxyType(least_containing(self.members)))
+        return self._least
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lower, upper) of the containment order on members.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import matching
 from .core import (SetSystem, GroundSet, SubsetLattice, bit_indices, closed_sets,
-                   family_key, intersection_closure)
+                   family_key, intersection_closure, mask_of)
 from .matroid import Matroid
 from .presentations import is_maximal, require_full_rank
 
@@ -194,11 +194,35 @@ class CommonExtensions:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _hyperplanes(bases: frozenset[int], full: int) -> list[int]:
+    """The hyperplanes of the matroid on ``full`` with these bases.
+
+    Each hyperplane is the closure of a basis less one element, I: the
+    elements f for which I + f is not a basis.
+    """
+    out = set()
+    seen = set()
+    for base in bases:
+        for e in bit_indices(base):
+            i = base ^ (1 << e)
+            if i not in seen:
+                seen.add(i)
+                out.add(full & ~mask_of(f for f in bit_indices(full & ~i)
+                                        if i | 1 << f in bases))
+    return sorted(out)
+
+
 def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
     """Extensions reachable from both presentations of one matroid.
 
-    Matches the extension matroids of the two sides by equality.  The
-    matched index sets form sublattices on both sides, isomorphic via
+    An extension that keeps the rank is fixed by the hyperplanes H of M
+    whose closure takes in the new element (Crapo's linear subclasses).
+    Over a presentation, the element added to the sets indexed by I lies
+    in cl(H) exactly when I misses the sets from which an augmenting
+    path leaves a maximum matching of H.  So each closed set is keyed by
+    its set of such hyperplanes, one matching per hyperplane and side,
+    and the closed sets of the two sides with equal keys are paired.
+    The matched index sets form sublattices on both sides, isomorphic via
     the pairing; matched sets always have equal cardinality.
     ``verify.check_intersection`` checks that, and an independent
     description by supports tight on both sides, on every result.
@@ -208,18 +232,20 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
     ma, mb = Matroid.from_system(a), Matroid.from_system(b)
     if not ma.equals(mb):
         raise ValueError("the two systems present different matroids")
+    lat_a, lat_b = extension_lattice(a), extension_lattice(b)
+    hyperplanes = _hyperplanes(ma.bases(), a.ground.full_mask)
 
-    recs_a = extension_matroids(a)
-    recs_b = extension_matroids(b)
-    by_bases = {rec.matroid.bases(): rec.index_set for rec in recs_b}
-    pairs = []
-    for rec in recs_a:
-        j = by_bases.get(rec.matroid.bases())
-        if j is not None:
-            pairs.append((rec.index_set, j))
+    def keys(system: SetSystem, lat: SubsetLattice) -> dict[int, int]:
+        reach = [matching.closure_reach(system, h) for h in hyperplanes]
+        return {i: mask_of(k for k, rh in enumerate(reach) if not i & rh)
+                for i in lat.sorted_members()}
+
+    by_key = {key: j for j, key in keys(b, lat_b).items()}
+    pairs = tuple((i, by_key[key]) for i, key in keys(a, lat_a).items()
+                  if key in by_key)
     return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
                             SubsetLattice(b.r, frozenset(j for _, j in pairs)),
-                            tuple(sorted(pairs, key=lambda p: family_key(p[0]))))
+                            pairs)
 
 
 def hasse_dot(lat: SubsetLattice) -> str:

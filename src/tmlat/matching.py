@@ -5,7 +5,14 @@ grows through it, whether elements are matched into sets (rank queries,
 independent-set enumeration) or sets into elements of a basis (the
 transversality search).  Rank queries use augmenting paths with
 deterministic tie-breaking (elements ascending, lowest-index set first),
-so returned matchings are reproducible.  ``deletion_reach`` memoizes
+so returned matchings are reproducible.  A search never enters a set
+twice, and the sets a failed search visited stay skipped until the next
+augmentation: no alternating path leaves them while the matching stands.
+A failed search from a fresh element over a matched independent set
+also names its fundamental circuit: the elements matched to the sets it
+visited (``fundamental_circuit``).  The sets from which an augmenting
+path leaves a maximum matching of X decide which fresh elements lie in
+the closure of X (``closure_reach``).  ``deletion_reach`` memoizes
 what one maximum matching of E - A_k shows for each set k of a system:
 the rank of E - A_k, the set indices from which an augmenting path
 exists, and the coloops of M|(E - A_k); the same pass grows the first of
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import SetSystem, bit_indices
+from .core import SetSystem, bit_indices, mask_of
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,18 @@ def augment(sup, owner, node, blocked: int = 0) -> bool:
 
 
 def _augment_rec(sup, owner, node, visited):
-    for j in bit_indices(sup[node] & ~visited[0]):
-        visited[0] |= 1 << j
+    """Depth-first search for an augmenting path from ``node``.
+
+    Each step takes the lowest right vertex not yet in ``visited[0]``;
+    a vertex visited deeper down was either on the path found or
+    leads nowhere, so it is never entered twice.  After a failed
+    search ``visited[0]`` holds every right vertex an alternating path
+    from ``node`` reaches, all of them matched.
+    """
+    while free := sup[node] & ~visited[0]:
+        bit = free & -free
+        visited[0] |= bit
+        j = bit.bit_length() - 1
         cur = owner.get(j)
         if cur is None or _augment_rec(sup, owner, cur, visited):
             owner[j] = node
@@ -74,14 +91,38 @@ def _max_matching_owner(system: SetSystem, x_mask: int,
 
     Started from a maximum matching of a set disjoint from ``x_mask``,
     this ends at a maximum matching of their union: an element with no
-    augmenting path never gains one as the matching grows.
+    augmenting path never gains one as the matching grows.  The sets a
+    failed search visits stay dead until the next augmentation, since
+    every alternating path from them ends inside them; later searches
+    skip them, which changes no path found.
     """
     sup = element_supports(system)
     if owner is None:
         owner = {}
+    dead = [0]
     for e in bit_indices(x_mask):
-        augment(sup, owner, e)
+        if _augment_rec(sup, owner, e, dead):
+            dead[0] = 0
     return owner
+
+
+def fundamental_circuit(system: SetSystem, independent: int,
+                        adjacency: int) -> int | None:
+    """The elements of ``independent`` on the circuit a fresh element
+    closes with it, the element lying in the sets ``adjacency`` indexes.
+
+    One maximum matching of ``independent`` and one augmenting search
+    from the fresh element decide.  If the search succeeds the union is
+    independent and the answer is None.  Otherwise the circuit is the
+    fresh element plus the elements matched to the sets the search
+    visited: the elements it can replace.
+    """
+    owner = _max_matching_owner(system, independent)
+    sup = element_supports(system) + (adjacency,)
+    visited = [0]
+    if _augment_rec(sup, owner, system.ground.n, visited):
+        return None
+    return mask_of(owner[j] for j in bit_indices(visited[0]))
 
 
 def max_matching(system: SetSystem, x_mask: int) -> Matching:
@@ -122,6 +163,15 @@ def reach_mask(system: SetSystem, owner: dict[int, int]) -> int:
                 good |= bit
                 changed = True
     return good
+
+
+def closure_reach(system: SetSystem, x_mask: int) -> int:
+    """``reach_mask`` of a maximum matching of ``x_mask``.
+
+    A fresh element with adjacency ``adj`` lies in the closure of
+    ``x_mask`` exactly when ``adj`` misses this mask.
+    """
+    return reach_mask(system, _max_matching_owner(system, x_mask))
 
 
 def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int]) -> int:

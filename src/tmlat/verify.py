@@ -182,8 +182,10 @@ def canonical_family(fmask: int, r: int) -> int:
     return best
 
 
-def distinct_closed_families(r: int) -> list[int]:
-    return sorted(set(closed_family_table(r)) - {0})
+@lru_cache(maxsize=8)
+def distinct_closed_families(r: int) -> tuple[int, ...]:
+    """The nonempty closed families over [r], ascending; built once per r."""
+    return tuple(sorted(set(closed_family_table(r)) - {0}))
 
 
 def census_sublattices(r: int, min_size: int) -> list[SubsetLattice]:
@@ -310,35 +312,26 @@ def disjoint_support_pair(r: int) -> tuple[SetSystem, SetSystem]:
 # The circuit-support identity for closed index sets.
 
 
-def _circuit_through(ext: SetSystem, mask: int, xbit: int) -> int:
-    """Shrink a dependent set with independent core to a circuit through x."""
-    for e in bit_indices(mask & ~xbit):
-        smaller = mask & ~(1 << e)
-        if matching.rank(ext, smaller) < smaller.bit_count():
-            mask = smaller
-    return mask
-
-
 def circuit_support_identity(system: SetSystem, iset: int) -> bool:
     """Certify that a closed set is the meet of circuit supports.
 
     Every circuit through the new element has support containing the
     closed set, and for each outside index some circuit avoids it; a
     witness circuit per index is built from a basis of the matching
-    deletion, so no circuit enumeration is needed.
+    deletion, so no circuit enumeration is needed.  Each witness is the
+    fundamental circuit of the new element over that basis, read off one
+    matching of the basis and one failed augmenting search from the new
+    element, which is never adjoined: no rank query is made.
     """
     if not extlattice.is_index_closed(system, iset):
         return False
-    label = extlattice.fresh_label(system.ground)
-    ext = extlattice.extend(system, iset, label)
-    xbit = 1 << system.ground.n
     if iset == 0:
-        return matching.rank(ext, xbit) == 0
+        return True  # the new element is a loop, and {x} is its one circuit
     full = system.ground.full_mask
 
     def witness(start_mask: int) -> int | None:
-        c = _circuit_through(ext, start_mask | xbit, xbit)
-        s = system.support(c & ~xbit)
+        c = matching.fundamental_circuit(system, start_mask, iset)
+        s = system.support(start_mask if c is None else c)
         if iset & ~s:
             return None  # containment fails: not a closed set after all
         return s

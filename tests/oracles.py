@@ -11,7 +11,10 @@ verify suites' inputs and checks come from the walks they replaced:
 every subset of relation pairs closed and deduplicated, one matching
 per r-subset for uniformity, and maximal sublattices by comparing all
 pairs of candidates.  Lattice files are checked by visiting every pair
-of members and written by Python's indenting JSON encoder.
+of members and written by Python's indenting JSON encoder.  Kuhn's
+search starts each element with nothing visited and re-enters sets a
+deeper call already visited; circuits shrink by one rank query per
+element; common extensions compare the bases of every extension.
 """
 
 import json
@@ -19,6 +22,7 @@ from itertools import combinations
 
 from tmlat import matching
 from tmlat.constructions import ideals_of_poset
+from tmlat.extlattice import CommonExtensions, extension_matroids
 from tmlat.core import (SubsetLattice, bit_indices, family_key, index_list,
                         lattice_doc, submasks)
 from tmlat.matroid import Matroid
@@ -40,6 +44,55 @@ def brute_rank(system, x_mask):
         return top
 
     return best(0, 0)
+
+
+def brute_max_matching_owner(system, x_mask):
+    """Kuhn's algorithm, a fresh visited mask for each element of x_mask."""
+    sup = matching.element_supports(system)
+    owner = {}
+
+    def augment_rec(node, visited):
+        for j in bit_indices(sup[node] & ~visited[0]):
+            visited[0] |= 1 << j
+            cur = owner.get(j)
+            if cur is None or augment_rec(cur, visited):
+                owner[j] = node
+                return True
+        return False
+
+    for e in bit_indices(x_mask):
+        augment_rec(e, [0])
+    return owner
+
+
+def brute_circuit_through(ext, mask, xbit):
+    """Shrink a dependent set with independent core to a circuit through x."""
+    for e in bit_indices(mask & ~xbit):
+        smaller = mask & ~(1 << e)
+        if matching.rank(ext, smaller) < smaller.bit_count():
+            mask = smaller
+    return mask
+
+
+def brute_common_extension_lattice(a, b):
+    """Common extensions, matching the extension matroids by their bases."""
+    if a.ground.names != b.ground.names:
+        raise ValueError("presentations live on different ground sets")
+    ma, mb = Matroid.from_system(a), Matroid.from_system(b)
+    if not ma.equals(mb):
+        raise ValueError("the two systems present different matroids")
+
+    recs_a = extension_matroids(a)
+    recs_b = extension_matroids(b)
+    by_bases = {rec.matroid.bases(): rec.index_set for rec in recs_b}
+    pairs = []
+    for rec in recs_a:
+        j = by_bases.get(rec.matroid.bases())
+        if j is not None:
+            pairs.append((rec.index_set, j))
+    return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
+                            SubsetLattice(b.r, frozenset(j for _, j in pairs)),
+                            tuple(sorted(pairs, key=lambda p: family_key(p[0]))))
 
 
 def counting_independent(system, x_mask):

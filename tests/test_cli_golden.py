@@ -2,8 +2,9 @@
 
 Each call runs in process with ``COLUMNS=80``, so help text wraps the
 same way everywhere.  The table pins the bytes the CLI wrote before its
-parser, lattice writer and validator were made cheaper; any change to
-output must show up here.
+parser, lattice writer and validator were made cheaper, and the
+``intersect`` and ``t-lattice`` bytes from before common extensions were
+matched by hyperplanes; any change to output must show up here.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from tmlat import core
 from tmlat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +25,14 @@ PRESENTATIONS = ["meet_pair_a.json", "meet_pair_b.json", "minmax4.json",
                  "u34_second.json"]
 LATTICES = ["sample_lattice_r6.json", "nonclosed_meet_r3.json",
             "nonclosed_join_r6.json"]
+# Two presentations of one 18-element matroid, maximal and minimal: past
+# the 16-element cap on flat enumeration, which ``intersect`` never meets.
+PAIR18 = ["pair18_maximal.json", "pair18_minimal.json"]
+INTERSECT_PAIRS = [("meet_pair_a.json", "meet_pair_b.json"),
+                   ("u34_first.json", "u34_second.json"),
+                   ("u34_first.json", "u34_maximal.json"),
+                   ("threelines_maximal.json", "threelines_submaximal.json"),
+                   tuple(PAIR18)]
 COMMAND_NAMES = ["lattice", "sigma", "extend", "maximalize", "minimal", "rank",
                  "supports", "t-lattice", "intersect", "irreducibles",
                  "construct-maximal", "construct-uniform", "ideals", "verify"]
@@ -34,6 +44,8 @@ CALLS = (
        for argv in (["irreducibles", f], ["construct-maximal", f],
                     ["construct-uniform", f, "--n", "7"])]
     + [["ideals", "poset_vee.json"], ["ideals", "--dot", "poset_vee.json"]]
+    + [["intersect", a, b] for a, b in INTERSECT_PAIRS]
+    + [["t-lattice", f] for f in PRESENTATIONS + PAIR18]
     + [["-h"]] + [[name, "-h"] for name in COMMAND_NAMES]
     # Usage errors print the usage line of the parser that saw them.
     + [[], ["bogus"], ["lattice"], ["lattice", "u34_first.json", "--bogus"],
@@ -87,6 +99,22 @@ GOLDEN = {
     'construct-uniform nonclosed_join_r6.json --n 7': (3, 'e3b0c44298fc1c14', 'f03d07c8a2165e82'),
     'ideals poset_vee.json': (0, '3caec79bde258c21', 'e3b0c44298fc1c14'),
     'ideals --dot poset_vee.json': (0, '51f2cbd2d6b89f0d', 'e3b0c44298fc1c14'),
+    'intersect meet_pair_a.json meet_pair_b.json': (0, '3dac8ff602171ccd', 'e3b0c44298fc1c14'),
+    'intersect u34_first.json u34_second.json': (0, '78fc53da4ddd07f9', 'e3b0c44298fc1c14'),
+    'intersect u34_first.json u34_maximal.json': (0, '78fc53da4ddd07f9', 'e3b0c44298fc1c14'),
+    'intersect threelines_maximal.json threelines_submaximal.json': (0, '559cc8117b2e1311', 'e3b0c44298fc1c14'),
+    'intersect pair18_maximal.json pair18_minimal.json': (0, 'f6f7f014e69221ca', 'e3b0c44298fc1c14'),
+    't-lattice meet_pair_a.json': (0, '87c8796653a81f60', 'e3b0c44298fc1c14'),
+    't-lattice meet_pair_b.json': (0, 'f030667cfe721352', 'e3b0c44298fc1c14'),
+    't-lattice minmax4.json': (0, 'b32e5c7faf3e1f9e', 'e3b0c44298fc1c14'),
+    't-lattice threelines_maximal.json': (0, 'cdb9bc6131c9e9b5', 'e3b0c44298fc1c14'),
+    't-lattice threelines_submaximal.json': (0, '1458f91c98615da8', 'e3b0c44298fc1c14'),
+    't-lattice u34_first.json': (0, 'ce4269d49551e0dd', 'e3b0c44298fc1c14'),
+    't-lattice u34_maximal.json': (0, 'ce4269d49551e0dd', 'e3b0c44298fc1c14'),
+    't-lattice u34_minimal.json': (0, '9056d01f6c93e151', 'e3b0c44298fc1c14'),
+    't-lattice u34_second.json': (0, 'ce4269d49551e0dd', 'e3b0c44298fc1c14'),
+    't-lattice pair18_maximal.json': (0, 'b563fd768fd79a5e', 'e3b0c44298fc1c14'),
+    't-lattice pair18_minimal.json': (0, 'df9bd9c6bd9f7065', 'e3b0c44298fc1c14'),
     '-h': (0, 'fb24e84bcb4ea9f4', 'e3b0c44298fc1c14'),
     'lattice -h': (0, 'e8c18aba3502deb8', 'e3b0c44298fc1c14'),
     'sigma -h': (0, 'e72ba0356b928134', 'e3b0c44298fc1c14'),
@@ -115,3 +143,19 @@ GOLDEN = {
 def test_cli_output_matches_golden(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert call(argv) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_builds_at_most_one_least_containing_map(monkeypatch, argv):
+    """Validation, covers, heights and first occurrences share one map."""
+    calls = []
+    original = core.least_containing
+
+    def counted(members):
+        calls.append(1)
+        return original(members)
+
+    monkeypatch.setattr(core, "least_containing", counted)
+    monkeypatch.setenv("COLUMNS", "80")
+    call(argv)
+    assert len(calls) <= 1

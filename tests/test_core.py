@@ -155,6 +155,19 @@ def test_covers_and_heights():
     assert empty.least_containing() == {}
 
 
+def test_least_containing_is_computed_once_and_shared_read_only():
+    lat = SubsetLattice(3, frozenset([0b000, 0b001, 0b011, 0b111]))
+    least = lat.least_containing()
+    assert least == {0: 0b001, 1: 0b011, 2: 0b111}
+    assert lat.least_containing() is least
+    with pytest.raises(TypeError):
+        least[0] = 0
+    fresh = SubsetLattice(3, lat.members)
+    assert fresh == lat and hash(fresh) == hash(lat)
+    assert repr(fresh) == repr(lat) == \
+        f"SubsetLattice(r=3, members={lat.members!r})"
+
+
 def test_size_caps():
     with pytest.raises(ValueError):
         GroundSet(tuple(f"e{i}" for i in range(65)))

@@ -1,8 +1,13 @@
-import pytest
+import random
 
-from tmlat import matching
-from tmlat.core import (SubsetLattice, bit_indices, intersection_closure,
-                        make_system)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmlat import extlattice, matching
+from tmlat.constructions import build_maximal_presentation
+from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
+                        intersection_closure, make_system, mask_of)
 from tmlat.extlattice import (common_extension_lattice, cyclic_flat_supports,
                               extend, extension_lattice,
                               extension_lattice_from_supports,
@@ -11,8 +16,11 @@ from tmlat.extlattice import (common_extension_lattice, cyclic_flat_supports,
                               is_index_closed, iterated_extend, tight_supports)
 from tmlat.matroid import Matroid
 from tmlat.presentations import preceq
-from tmlat.verify import (circuit_support_identity, disjoint_support_pair,
+from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
+                          disjoint_support_pair, presentation_walk,
                           random_presentation, sharp_common_pair)
+
+from .oracles import brute_circuit_through, brute_common_extension_lattice
 
 
 def members(lat):
@@ -452,3 +460,92 @@ def test_scan_cap():
     big = make_system(names, [[names[i]] for i in range(22)])
     with pytest.raises(ValueError):
         extension_lattice(big)
+
+
+# ---------------------------------------------------------------------------
+# Fast routes against the oracles they replaced.
+
+# Parallel-heavy maximal presentations, small enough for the bases route.
+MAXIMAL_BUILDS = [system for system in
+                  (build_maximal_presentation(lat)
+                   for lat in _all_poset_lattices(3) if lat.r)
+                  if system.ground.n <= 12]
+
+
+@st.composite
+def presentations(draw):
+    """Full-rank presentations: rank one, with coloops, or maximal builds.
+
+    In the drawn ones the first t elements are coloops: t of the sets
+    hold only elements below t, and the others hold a diagonal of the
+    rest.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(MAXIMAL_BUILDS))
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 8))
+    t = draw(st.integers(0, r))
+    sets = [draw(st.integers(0, (1 << t) - 1)) | 1 << i for i in range(t)]
+    diagonal = draw(st.permutations(range(t, n)))[:r - t]
+    sets += [draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal]
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return SetSystem(ground, tuple(draw(st.permutations(sets))))
+
+
+@st.composite
+def presentation_pairs(draw):
+    """A presentation and a random walk away from it over the same matroid."""
+    system = draw(presentations())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return system, presentation_walk(system, draw(st.integers(1, 5)), rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentation_pairs())
+def test_common_extensions_match_the_bases_route(pair):
+    a, b = pair
+    assert common_extension_lattice(a, b) == brute_common_extension_lattice(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(), st.data())
+def test_fundamental_circuits_match_the_rank_shrink(system, data):
+    """Closed sets (the empty one gives a loop) and any other index set."""
+    closed = extension_lattice(system).sorted_members()
+    iset = data.draw(st.one_of(st.sampled_from(closed),
+                               st.integers(0, system.full_index_mask)))
+    ext = extend(system, iset)
+    xbit = 1 << system.ground.n
+    for x in data.draw(st.lists(st.integers(0, system.ground.full_mask),
+                                min_size=1, max_size=4)):
+        start = mask_of(e for e, _ in matching.max_matching(system, x).assignment)
+        circuit = matching.fundamental_circuit(system, start, iset)
+        want = brute_circuit_through(ext, start | xbit, xbit)
+        assert (start if circuit is None else circuit) | xbit == want
+
+
+def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
+                                                              meet_pair):
+    pairs = [meet_pair, sharp_common_pair(4), disjoint_support_pair(3)]
+    want = [brute_common_extension_lattice(a, b) for a, b in pairs]
+
+    def refuse(system):
+        raise AssertionError("extension matroids built")
+
+    monkeypatch.setattr(extlattice, "extension_matroids", refuse)
+    assert [common_extension_lattice(a, b) for a, b in pairs] == want
+
+
+def test_circuit_support_identity_makes_no_rank_query(monkeypatch,
+                                                      threelines_submaximal,
+                                                      minmax4, u34_first):
+    systems = (threelines_submaximal, minmax4, u34_first)
+    closed = [extension_lattice(system).members for system in systems]
+
+    def refuse(system, x_mask):
+        raise AssertionError("rank queried")
+
+    monkeypatch.setattr(matching, "rank", refuse)
+    for system, lat in zip(systems, closed):
+        for m in range(1 << system.r):
+            assert circuit_support_identity(system, m) == (m in lat)

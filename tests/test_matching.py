@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tmlat import matching
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 
-from .oracles import brute_rank, counting_independent
+from .oracles import brute_max_matching_owner, brute_rank, counting_independent
 
 
 def test_matching_is_injective_and_supported(threelines_maximal):
@@ -128,3 +128,24 @@ def test_augment_pushes_sets_into_a_mask(sets, b):
         assert sorted(owner.values()) == list(range(len(chosen)))
         for e, k in owner.items():
             assert b >> e & 1 and chosen[k] >> e & 1
+
+
+@st.composite
+def systems_and_masks(draw):
+    """Any system of 1-8 sets on up to 10 elements, and a mask to match."""
+    n = draw(st.integers(0, 10))
+    sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    return SetSystem(ground, tuple(sets)), draw(st.integers(0, ground.full_mask))
+
+
+@settings(max_examples=500, deadline=None)
+@given(systems_and_masks())
+def test_kept_dead_sets_change_no_assignment(case):
+    """Skipping sets a failed search proved dead finds the same paths."""
+    system, x = case
+    owner = matching._max_matching_owner(system, x)
+    want = brute_max_matching_owner(system, x)
+    assert list(owner.items()) == list(want.items())
+    assert matching.max_matching(system, x).assignment == \
+        tuple(sorted((e, j) for j, e in want.items()))
