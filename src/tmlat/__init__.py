@@ -19,5 +19,21 @@ from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, first_occurrence,
                             ideals_of_poset, validate_lattice)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "GroundSet", "SetSystem", "SubsetLattice", "make_system", "parse_lattice",
+    "parse_presentation", "serialize",
+    "Matching", "is_independent", "max_matching", "rank",
+    "Matroid", "is_transversal", "matroid_doc", "parse_matroid",
+    "principal_extension", "transversal_presentation",
+    "PresentationChain", "cover_chain", "is_maximal", "is_minimal",
+    "maximalize", "minimal_presentations_below", "preceq", "presentation_rank",
+    "reindexing_equivalent",
+    "CommonExtensions", "ExtensionRecord", "common_extension_lattice",
+    "cyclic_flat_supports", "extend", "extension_lattice",
+    "extension_lattice_from_supports", "extension_matroid",
+    "extension_matroids", "hasse_dot", "index_closure", "irreducibles",
+    "is_index_closed", "iterated_extend", "tight_supports",
+    "build_maximal_presentation", "build_uniform_presentation",
+    "first_occurrence", "ideals_of_poset", "validate_lattice",
+]
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matching
-from .core import (SetSystem, GroundSet, SubsetLattice, bit_indices, closed_sets,
-                   family_key, intersection_closure, mask_of)
+from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
+                   closed_sets, family_key, intersection_closure)
 from .matroid import Matroid
-from .presentations import is_maximal, require_full_rank
+from .presentations import is_maximal, maximalize, require_full_rank
 
 SCAN_LIMIT = 20  # the fixpoint scan walks all 2^r index sets
 
@@ -194,54 +194,41 @@ class CommonExtensions:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _hyperplanes(bases: frozenset[int], full: int) -> list[int]:
-    """The hyperplanes of the matroid on ``full`` with these bases.
-
-    Each hyperplane is the closure of a basis less one element, I: the
-    elements f for which I + f is not a basis.
-    """
-    out = set()
-    seen = set()
-    for base in bases:
-        for e in bit_indices(base):
-            i = base ^ (1 << e)
-            if i not in seen:
-                seen.add(i)
-                out.add(full & ~mask_of(f for f in bit_indices(full & ~i)
-                                        if i | 1 << f in bases))
-    return sorted(out)
-
-
 def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
     """Extensions reachable from both presentations of one matroid.
 
-    An extension that keeps the rank is fixed by the hyperplanes H of M
-    whose closure takes in the new element (Crapo's linear subclasses).
-    Over a presentation, the element added to the sets indexed by I lies
-    in cl(H) exactly when I misses the sets from which an augmenting
-    path leaves a maximum matching of H.  So each closed set is keyed by
-    its set of such hyperplanes, one matching per hyperplane and side,
-    and the closed sets of the two sides with equal keys are paired.
-    The matched index sets form sublattices on both sides, isomorphic via
-    the pairing; matched sets always have equal cardinality.
-    ``verify.check_intersection`` checks that, and an independent
-    description by supports tight on both sides, on every result.
+    A transversal matroid has one maximal presentation, up to the order
+    of its sets (Bondy; Mason).  So full-rank ``a`` and ``b`` present one
+    matroid exactly when their maximalizations hold the same sets.
+    Likewise a closed set I of ``a`` and one J of ``b`` describe one
+    extension exactly when ``extend(a, I)`` and ``extend(b, J)``, with
+    the same fresh label, maximalize to the same sets.  So each closed
+    set is keyed by the sorted sets of that maximalization, one
+    ``deletion_reach`` pass per key, and equal keys are paired.  The new
+    element takes one more ground bit, so the ground holds at most 63
+    elements.  The matched index sets form sublattices on both sides,
+    isomorphic via the pairing; matched sets always have equal
+    cardinality.  ``verify.check_intersection`` checks that, and an
+    independent description by supports tight on both sides, on every
+    result.
     """
     if a.ground.names != b.ground.names:
         raise ValueError("presentations live on different ground sets")
-    ma, mb = Matroid.from_system(a), Matroid.from_system(b)
-    if not ma.equals(mb):
+    if a.ground.n >= MAX_ELEMENTS:
+        raise ValueError(f"common extensions take at most {MAX_ELEMENTS - 1} "
+                         "elements: the new element needs one more")
+    require_full_rank(a)
+    require_full_rank(b)
+    if sorted(maximalize(a).sets) != sorted(maximalize(b).sets):
         raise ValueError("the two systems present different matroids")
-    lat_a, lat_b = extension_lattice(a), extension_lattice(b)
-    hyperplanes = _hyperplanes(ma.bases(), a.ground.full_mask)
+    label = fresh_label(a.ground)
 
-    def keys(system: SetSystem, lat: SubsetLattice) -> dict[int, int]:
-        reach = [matching.closure_reach(system, h) for h in hyperplanes]
-        return {i: mask_of(k for k, rh in enumerate(reach) if not i & rh)
-                for i in lat.sorted_members()}
+    def keys(system: SetSystem) -> dict[int, tuple[int, ...]]:
+        return {i: tuple(sorted(maximalize(extend(system, i, label)).sets))
+                for i in extension_lattice(system).sorted_members()}
 
-    by_key = {key: j for j, key in keys(b, lat_b).items()}
-    pairs = tuple((i, by_key[key]) for i, key in keys(a, lat_a).items()
+    by_key = {key: j for j, key in keys(b).items()}
+    pairs = tuple((i, by_key[key]) for i, key in keys(a).items()
                   if key in by_key)
     return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
                             SubsetLattice(b.r, frozenset(j for _, j in pairs)),

@@ -10,9 +10,7 @@ twice, and the sets a failed search visited stay skipped until the next
 augmentation: no alternating path leaves them while the matching stands.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
-visited (``fundamental_circuit``).  The sets from which an augmenting
-path leaves a maximum matching of X decide which fresh elements lie in
-the closure of X (``closure_reach``).  ``deletion_reach`` memoizes
+visited (``fundamental_circuit``).  ``deletion_reach`` memoizes
 what one maximum matching of E - A_k shows for each set k of a system:
 the rank of E - A_k, the set indices from which an augmenting path
 exists, and the coloops of M|(E - A_k); the same pass grows the first of
@@ -163,15 +161,6 @@ def reach_mask(system: SetSystem, owner: dict[int, int]) -> int:
                 good |= bit
                 changed = True
     return good
-
-
-def closure_reach(system: SetSystem, x_mask: int) -> int:
-    """``reach_mask`` of a maximum matching of ``x_mask``.
-
-    A fresh element with adjacency ``adj`` lies in the closure of
-    ``x_mask`` exactly when ``adj`` misses this mask.
-    """
-    return reach_mask(system, _max_matching_owner(system, x_mask))
 
 
 def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int]) -> int:

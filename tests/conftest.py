@@ -63,5 +63,12 @@ def meet_pair():
 
 
 @pytest.fixture(scope="session")
+def pair18():
+    """Maximal and minimal presentations of one 18-element matroid."""
+    return (load_presentation("pair18_maximal.json"),
+            load_presentation("pair18_minimal.json"))
+
+
+@pytest.fixture(scope="session")
 def nontransversal_meet():
     return parse_matroid((DATA / "nontransversal_meet.json").read_text())

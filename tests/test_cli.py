@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -13,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmlat.cli import main
-from tmlat.core import parse_lattice, parse_presentation
+from tmlat.constructions import validate_lattice
+from tmlat.core import (GroundSet, SetSystem, mask_of, parse_lattice,
+                        parse_presentation, presentation_doc)
+from tmlat.extlattice import common_extension_lattice, extension_lattice
+from tmlat.presentations import reindexing_equivalent
+from tmlat.verify import presentation_walk
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,10 +405,64 @@ def test_closed_pipe_is_quiet(tmp_path):
 def test_intersect_different_matroids_exits_3(capsys, tmp_path):
     other = tmp_path / "other.json"
     other.write_text(json.dumps(
-        {"ground": ["a", "b", "c", "d"],
-         "sets": [["a", "b"], ["a", "b"], ["c", "d"]]}))
+        {"ground": ["a", "b", "c", "d"], "sets": [["a", "b"], ["a", "c"], ["d"]]}))
     code, _, err = run(capsys, "intersect", path("u34_first.json"), str(other))
     assert code == 3
+    assert err == "error: the two systems present different matroids\n"
+
+
+def test_intersect_rank_deficient_input_gets_the_rank_message(capsys, tmp_path):
+    """The full-rank check of each side comes before the matroid comparison."""
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(
+        {"ground": ["a", "b", "c", "d"], "sets": [["a", "b"]] * 3}))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(
+        {"ground": ["a", "b", "c", "d"], "sets": [["a", "b"], ["c", "d"]]}))
+    want = "error: system of 3 sets presents a matroid of rank 2\n"
+    assert run(capsys, "lattice", str(short)) == (3, "", want)
+    assert run(capsys, "intersect", str(short), str(other)) == (3, "", want)
+    assert run(capsys, "intersect", str(other), str(short)) == (3, "", want)
+
+
+def test_intersect_refuses_64_elements(capsys, tmp_path):
+    """The new element of an extension would need a 65th ground bit."""
+    doc = {"ground": [f"e{i}" for i in range(64)],
+           "sets": [[f"e{i}" for i in range(k, 64, 2)] for k in range(2)]}
+    pres = tmp_path / "wide.json"
+    pres.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "intersect", str(pres), str(pres))
+    assert (code, out) == (3, "")
+    assert err == ("error: common extensions take at most 63 elements: "
+                   "the new element needs one more\n")
+
+
+def test_intersect_thirty_elements_in_under_a_second(capsys, tmp_path):
+    """A rank-8 pair on 30 elements: one matching pass per key, no bases."""
+    rng = random.Random(1)
+    r, n = 8, 30
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    a = SetSystem(ground, tuple(
+        1 << i | mask_of(e for e in range(r, n) if rng.random() < 0.3)
+        for i in range(r)))
+    b = presentation_walk(a, 12, rng)
+    assert not reindexing_equivalent(a, b)
+    files = []
+    for name, system in (("a.json", a), ("b.json", b)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(presentation_doc(system)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "intersect", *map(str, files))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    for key in ("lattice_ab", "lattice_ba"):
+        lat = parse_lattice(doc[key])
+        validate_lattice(lat.members, lat.r)
+    assert len(doc["pairs"]) == len(doc["lattice_ab"]["sets"]) > 2
+    assert all(len(i) == len(j) for i, j in doc["pairs"])
+    self_pairs = common_extension_lattice(a, a).pairs
+    assert self_pairs == tuple((i, i) for i in extension_lattice(a).sorted_members())
 
 
 @pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],

@@ -3,8 +3,9 @@
 Each call runs in process with ``COLUMNS=80``, so help text wraps the
 same way everywhere.  The table pins the bytes the CLI wrote before its
 parser, lattice writer and validator were made cheaper, and the
-``intersect`` and ``t-lattice`` bytes from before common extensions were
-matched by hyperplanes; any change to output must show up here.
+``intersect`` and ``t-lattice`` bytes from when common extensions were
+still matched by the bases of every extension; any change to output must
+show up here.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ PRESENTATIONS = ["meet_pair_a.json", "meet_pair_b.json", "minmax4.json",
 LATTICES = ["sample_lattice_r6.json", "nonclosed_meet_r3.json",
             "nonclosed_join_r6.json"]
 # Two presentations of one 18-element matroid, maximal and minimal: past
-# the 16-element cap on flat enumeration, which ``intersect`` never meets.
+# the 16-element cap on subset scans, which ``intersect`` never meets.
 PAIR18 = ["pair18_maximal.json", "pair18_minimal.json"]
 INTERSECT_PAIRS = [("meet_pair_a.json", "meet_pair_b.json"),
                    ("u34_first.json", "u34_second.json"),

@@ -185,3 +185,23 @@ def test_no_bare_assert_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_readme_tour_imports_resolve_from_the_package():
+    """Each name the README's library tour imports is public, and
+    ``__all__`` lists names, not the submodules."""
+    import tmlat
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert blocks
+    imported = []
+    for block in blocks:
+        for node in ast.walk(ast.parse(block.split("```")[0])):
+            if isinstance(node, ast.ImportFrom) and node.module == "tmlat":
+                imported += [alias.name for alias in node.names]
+    assert imported
+    assert [name for name in imported if name not in tmlat.__all__] == []
+    assert all(hasattr(tmlat, name) for name in tmlat.__all__)
+    assert not any(isinstance(getattr(tmlat, name), type(tmlat))
+                   for name in tmlat.__all__)

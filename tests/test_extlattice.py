@@ -525,14 +525,17 @@ def test_fundamental_circuits_match_the_rank_shrink(system, data):
 
 
 def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
-                                                              meet_pair):
-    pairs = [meet_pair, sharp_common_pair(4), disjoint_support_pair(3)]
+                                                              meet_pair, pair18):
+    """Nor does it enumerate bases or hyperplanes of the matroid."""
+    pairs = [meet_pair, sharp_common_pair(4), disjoint_support_pair(3), pair18]
     want = [brute_common_extension_lattice(a, b) for a, b in pairs]
 
-    def refuse(system):
-        raise AssertionError("extension matroids built")
+    def refuse(*args):
+        raise AssertionError("extension matroid or derived family built")
 
     monkeypatch.setattr(extlattice, "extension_matroids", refuse)
+    monkeypatch.setattr(Matroid, "bases", refuse)
+    monkeypatch.setattr(Matroid, "hyperplanes", refuse)
     assert [common_extension_lattice(a, b) for a, b in pairs] == want
 
 

@@ -414,9 +414,8 @@ def test_matroid_json_round_trip(nontransversal_meet):
 def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
     """``from_bases`` checks the axiom; ``restrict`` trusts a valid matroid."""
     g = GroundSet(tuple("abcd"))
-    if __debug__:  # the check is skipped under python -O
-        with pytest.raises(ValueError, match="exchange"):
-            Matroid.from_bases(g, [g.mask("ab"), g.mask("cd")])
+    with pytest.raises(ValueError, match="exchange"):
+        Matroid.from_bases(g, [g.mask("ab"), g.mask("cd")])
     calls = []
     real = matroid._check_basis_exchange
     monkeypatch.setattr(matroid, "_check_basis_exchange",
@@ -424,7 +423,28 @@ def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
     doc = matroid_doc(Matroid.from_system(u34_first))
     m = parse_matroid(doc)
     assert transversal_presentation(m) is not None
-    assert len(calls) == (1 if __debug__ else 0)
+    assert len(calls) == 1
+
+
+def test_exchange_axiom_checked_under_optimize():
+    """``python -O`` still refuses a basis family that is no matroid."""
+    code = textwrap.dedent("""
+        from tmlat.matroid import parse_matroid
+
+        doc = {"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]}
+        try:
+            parse_matroid(doc)
+        except ValueError as exc:
+            print("raised:", exc, "debug:", __debug__)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("raised: basis family violates the exchange axiom "
+                           "debug: False\n")
 
 
 def complete_graph_k4():
