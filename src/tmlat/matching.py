@@ -84,7 +84,8 @@ def _augment_rec(sup, owner, node, visited):
 
 
 def _max_matching_owner(system: SetSystem, x_mask: int,
-                        owner: dict[int, int] | None = None) -> dict[int, int]:
+                        owner: dict[int, int] | None = None,
+                        sup: tuple[int, ...] | None = None) -> dict[int, int]:
     """Augment ``owner`` (default empty) by each element of ``x_mask``.
 
     Started from a maximum matching of a set disjoint from ``x_mask``,
@@ -92,14 +93,18 @@ def _max_matching_owner(system: SetSystem, x_mask: int,
     augmenting path never gains one as the matching grows.  The sets a
     failed search visits stay dead until the next augmentation, since
     every alternating path from them ends inside them; later searches
-    skip them, which changes no path found.
+    skip them, which changes no path found.  Elements go in ascending
+    order.  ``sup`` defaults to ``element_supports(system)``.
     """
-    sup = element_supports(system)
+    if sup is None:
+        sup = element_supports(system)
     if owner is None:
         owner = {}
     dead = [0]
-    for e in bit_indices(x_mask):
-        if _augment_rec(sup, owner, e, dead):
+    while x_mask:
+        low = x_mask & -x_mask
+        x_mask ^= low
+        if _augment_rec(sup, owner, low.bit_length() - 1, dead):
             dead[0] = 0
     return owner
 
@@ -139,39 +144,42 @@ def is_independent(system: SetSystem, x_mask: int) -> bool:
     return rank(system, x_mask) == x_mask.bit_count()
 
 
-def reach_mask(system: SetSystem, owner: dict[int, int]) -> int:
+def reach_mask(system: SetSystem, owner: dict[int, int],
+               sup: tuple[int, ...] | None = None) -> int:
     """Set indices from which an alternating path reaches a free set.
 
     A fresh element with adjacency ``adj`` augments ``owner`` exactly when
-    ``adj`` meets this mask.
+    ``adj`` meets this mask.  ``sup`` defaults to
+    ``element_supports(system)``.
     """
-    sup = element_supports(system)
-    good = 0
-    for j in range(system.r):
-        if j not in owner:
-            good |= 1 << j
+    if sup is None:
+        sup = element_supports(system)
+    good = system.full_index_mask
+    for j in owner:
+        good ^= 1 << j
     changed = True
     while changed:
         changed = False
         for j, e in owner.items():
             bit = 1 << j
-            if good & bit:
-                continue
-            if sup[e] & good & ~bit:
+            if not good & bit and sup[e] & good & ~bit:
                 good |= bit
                 changed = True
     return good
 
 
-def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int]) -> int:
+def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int],
+                sup: tuple[int, ...] | None = None) -> int:
     """Elements of ``x_mask`` in every basis of M|x_mask: its coloops.
 
     ``owner`` is a maximum matching of ``x_mask``.  An element misses some
     maximum matching exactly when it is unmatched or an unmatched element
     reaches it by an alternating path: to a set along a non-matching edge,
-    then on to the element matched to that set.
+    then on to the element matched to that set.  ``sup`` defaults to
+    ``element_supports(system)``.
     """
-    sup = element_supports(system)
+    if sup is None:
+        sup = element_supports(system)
     matched = 0
     for e in owner.values():
         matched |= 1 << e
@@ -179,13 +187,17 @@ def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int]) -> int:
     visited = 0
     while frontier:
         sets = 0
-        for e in bit_indices(frontier):
-            sets |= sup[e]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            sets |= sup[low.bit_length() - 1]
         sets &= ~visited
         visited |= sets
-        frontier = 0
-        for j in bit_indices(sets):
-            frontier |= 1 << owner[j]  # a maximum matching leaves no free set here
+        while sets:
+            low = sets & -sets
+            sets ^= low
+            # a maximum matching leaves no free set here
+            frontier |= 1 << owner[low.bit_length() - 1]
         frontier &= ~seen
         seen |= frontier
     return x_mask & ~seen
@@ -211,13 +223,16 @@ def deletion_reach(system: SetSystem) -> Deletions:
     """Rank, reach mask and coloops of each E - A_k, and the rank of E.
 
     The rank of E grows a copy of the matching of E - A_0 by the elements
-    of A_0, so the whole pass makes one matching per set.
+    of A_0, so the whole pass makes one matching per set.  The element
+    supports are read once and handed to every step of the pass.
     """
     full = system.ground.full_mask
-    owners = [_max_matching_owner(system, full & ~a) for a in system.sets]
-    whole = (_max_matching_owner(system, system.sets[0], dict(owners[0]))
+    sup = element_supports(system)
+    owners = [_max_matching_owner(system, full & ~a, sup=sup)
+              for a in system.sets]
+    whole = (_max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
              if owners else {})
     return Deletions(len(whole), tuple(
-        Deletion(len(owner), reach_mask(system, owner),
-                 coloop_mask(system, full & ~a, owner))
+        Deletion(len(owner), reach_mask(system, owner, sup),
+                 coloop_mask(system, full & ~a, owner, sup))
         for a, owner in zip(system.sets, owners)))

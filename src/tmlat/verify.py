@@ -2,10 +2,14 @@
 
 The census enumerates every union/intersection-closed family over [r]
 by closing all 2^(2^r) generator families (r <= 4), deduplicating up to
-coordinate permutation.  It is the independent oracle for the catalog
-of large sublattices; the sharpness builders realize presentations that
-meet each bound with equality.  All randomized sweeps are seeded and
-report their seeds.
+coordinate permutation.  Closure does not depend on the order in which
+members are added, so the families whose highest member is x close to
+the closures of the families below 2^x, each with x added: the table
+grows one block per subset x through a map over the distinct closed
+families, not one closure step per generator family.  The census is
+the independent oracle for the catalog of large sublattices; the
+sharpness builders realize presentations that meet each bound with
+equality.  All randomized sweeps are seeded and report their seeds.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, first_occurrence,
                             ideal_lattice, validate_lattice)
 
-CENSUS_LIMIT = 4  # the census walks 2^(2^r) generator families
+# The census table has one entry per generator family, 2^(2^r) of them,
+# built in 2^r blocks (one per highest member); r = 5 would need 2^32.
+CENSUS_LIMIT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +149,23 @@ def _add_member(closed: int, x: int, full: int) -> int:
 
 @lru_cache(maxsize=8)
 def closed_family_table(r: int) -> tuple[int, ...]:
-    """For every generator family over [r], its union/intersection closure."""
+    """For every generator family over [r], its union/intersection closure.
+
+    Entry ``fam`` closes the subsets whose bits ``fam`` sets.  The
+    families with highest member x are the families f < 2^x with x
+    added, and the closure of f plus x is the closure of (closure of f)
+    plus x, whatever order the members came in.  So block
+    ``table[2^x : 2^(x+1)]`` is ``table[:2^x]`` mapped through one dict
+    that adds x to each distinct closed family: at most 2^r closure
+    steps per distinct family, and a C-level map for the rest.
+    """
     if r > CENSUS_LIMIT:
         raise ValueError(f"census closure table capped at r = {CENSUS_LIMIT}")
     full = (1 << r) - 1
-    size = 1 << r
-    table = [0] * (1 << size)
-    for fam in range(1, 1 << size):
-        low = fam & -fam
-        rest = fam ^ low
-        table[fam] = _add_member(table[rest], low.bit_length() - 1, full)
+    table = [0]
+    for x in range(1 << r):
+        step = {c: _add_member(c, x, full) for c in set(table)}
+        table += list(map(step.__getitem__, table))
     return tuple(table)
 
 

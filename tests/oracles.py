@@ -3,18 +3,20 @@
 These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
 counting condition on every subset.  Family closure is a plain
-fixpoint over all pairs, and the lattice read-offs (covers, heights,
-first occurrences) compare members pairwise or triplewise.  The moves
-between presentations re-match every basis after each single change,
-or re-match the deletion of a set without each outside element.  The
-verify suites' inputs and checks come from the walks they replaced:
-every subset of relation pairs closed and deduplicated, one matching
-per r-subset for uniformity, and maximal sublattices by comparing all
-pairs of candidates.  Lattice files are checked by visiting every pair
-of members and written by Python's indenting JSON encoder.  Kuhn's
-search starts each element with nothing visited and re-enters sets a
-deeper call already visited; circuits shrink by one rank query per
-element; common extensions compare the bases of every extension.
+fixpoint over all pairs, the census table closes each generator family
+from the one without its lowest member, and the lattice read-offs
+(covers, heights, first occurrences) compare members pairwise or
+triplewise.  The moves between presentations re-match every basis
+after each single change, or re-match the deletion of a set without
+each outside element.  The verify suites' inputs and checks come from
+the walks they replaced: every subset of relation pairs closed and
+deduplicated, one matching per r-subset for uniformity, and maximal
+sublattices by comparing all pairs of candidates.  Lattice files are
+checked by visiting every pair of members and written by Python's
+indenting JSON encoder.  Kuhn's search starts each element with
+nothing visited and re-enters sets a deeper call already visited;
+circuits shrink by one rank query per element; common extensions
+compare the bases of every extension.
 """
 
 import json
@@ -27,7 +29,7 @@ from tmlat.core import (SubsetLattice, bit_indices, family_key, index_list,
                         lattice_doc, submasks)
 from tmlat.matroid import Matroid
 from tmlat.presentations import _with_bit, require_full_rank
-from tmlat.verify import (distinct_closed_families, family_mask,
+from tmlat.verify import (_add_member, distinct_closed_families, family_mask,
                           family_members)
 
 
@@ -259,3 +261,14 @@ def brute_maximal_sublattices(lat):
     out = [f for f in cands
            if not any(g != f and f & ~g == 0 for g in cands)]
     return [family_members(f) for f in sorted(out)]
+
+
+def brute_closed_family_table(r):
+    """Closure of every generator family over [r], one closure step each:
+    the family without its lowest member, closed, plus that member."""
+    full = (1 << r) - 1
+    table = [0] * (1 << (1 << r))
+    for fam in range(1, len(table)):
+        low = fam & -fam
+        table[fam] = _add_member(table[fam ^ low], low.bit_length() - 1, full)
+    return tuple(table)

@@ -21,7 +21,8 @@ from tmlat.constructions import (build_maximal_presentation,
                                  build_uniform_presentation, validate_lattice)
 from tmlat.verify import (canonical_family, catalog_classes, census_sublattices,
                           circuit_support_identity, closed_family_table,
-                          family_mask, near_uniform_minimal,
+                          distinct_closed_families, family_mask,
+                          near_uniform_minimal,
                           presentation_walk, random_presentation,
                           sharp_chain_presentation, sharp_common_pair)
 
@@ -251,6 +252,7 @@ def test_criterion_10_common_extension_bound():
 
 def test_criterion_11_census_matches_catalog():
     closed_family_table.cache_clear()
+    distinct_closed_families.cache_clear()
     t0 = time.perf_counter()
     census4 = census_sublattices(4, 8)
     got4 = {canonical_family(family_mask(lat.members), 4) for lat in census4}

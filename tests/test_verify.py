@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tmlat import verify
 from tmlat.constructions import build_uniform_presentation
 from tmlat.core import GroundSet, SetSystem, SubsetLattice, bit_indices
 from tmlat.extlattice import common_extension_lattice, extension_lattice
@@ -23,8 +24,9 @@ from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           sharp_chain_presentation, sharp_common_pair)
 from tmlat.verify import _all_poset_lattices, _is_uniform
 
-from .oracles import (brute_is_uniform, brute_maximal_sublattices,
-                      brute_poset_lattices, union_intersection_closure)
+from .oracles import (brute_closed_family_table, brute_is_uniform,
+                      brute_maximal_sublattices, brute_poset_lattices,
+                      union_intersection_closure)
 
 
 def test_catalog_sizes():
@@ -95,6 +97,27 @@ def test_closure_table_matches_naive_r4_sampled():
         naive = union_intersection_closure(set(bit_indices(fam)), 4) \
             if fam else frozenset()
         assert family_mask(naive) == table[fam]
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_closure_table_equals_lowest_member_recurrence(r):
+    assert closed_family_table(r) == brute_closed_family_table(r)
+
+
+def test_closure_table_steps_once_per_block_and_closed_family(monkeypatch):
+    calls = Counter()
+    add_member = verify._add_member
+
+    def counted(closed, x, full):
+        calls["add"] += 1
+        return add_member(closed, x, full)
+
+    monkeypatch.setattr(verify, "_add_member", counted)
+    closed_family_table.cache_clear()
+    distinct_closed_families.cache_clear()
+    table = closed_family_table(4)
+    assert len(table) == 1 << 16
+    assert 0 < calls["add"] <= 16 * len(set(table))
 
 
 def test_census_classes():
