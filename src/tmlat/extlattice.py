@@ -97,7 +97,9 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
 
     The family is closed under union but not, in general, under
     intersection.  An index set K belongs exactly when the elements
-    supported inside K admit a matching onto all of K.
+    supported inside K admit a matching onto all of K.  Those elements
+    lie in no set outside K, so their rank in the whole system counts
+    that matching.
     """
     require_full_rank(system)
     r = system.r
@@ -111,10 +113,7 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
         for e in range(n):
             if sup[e] and sup[e] & ~k_mask == 0:
                 inside |= 1 << e
-        restricted = SetSystem(system.ground,
-                               tuple(a & inside if k_mask & (1 << i) else 0
-                                     for i, a in enumerate(system.sets)))
-        if matching.rank(restricted, inside) == k_mask.bit_count():
+        if matching.rank(system, inside) == k_mask.bit_count():
             members.append(k_mask)
     return SubsetLattice(r, frozenset(members))
 
@@ -224,8 +223,15 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
     label = fresh_label(a.ground)
 
     def keys(system: SetSystem) -> dict[int, tuple[int, ...]]:
-        return {i: tuple(sorted(maximalize(extend(system, i, label)).sets))
-                for i in extension_lattice(system).sorted_members()}
+        # maximalize(extend(system, i)) from an uncached pass, since no
+        # later call reads it; the new element's support is i itself
+        sup = matching.element_supports(system)
+        out = {}
+        for i in extension_lattice(system).sorted_members():
+            ext = extend(system, i, label)
+            dels = matching.deletion_pass(ext, sup + (i,)).sets
+            out[i] = tuple(sorted(s | d.coloops for s, d in zip(ext.sets, dels)))
+        return out
 
     by_key = {key: j for j, key in keys(b).items()}
     pairs = tuple((i, by_key[key]) for i, key in keys(a).items()

@@ -10,13 +10,14 @@ twice, and the sets a failed search visited stay skipped until the next
 augmentation: no alternating path leaves them while the matching stands.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
-visited (``fundamental_circuit``).  ``deletion_reach`` memoizes
-what one maximum matching of E - A_k shows for each set k of a system:
-the rank of E - A_k, the set indices from which an augmenting path
-exists, and the coloops of M|(E - A_k); the same pass grows the first of
-those matchings into one of E for the rank of the whole system.  Closure
-scans, the moves between presentations and the full-rank check reduce
-to reading those numbers and bit tests against those masks.
+visited (``fundamental_circuit``).  ``deletion_pass`` reads what one
+maximum matching of E - A_k shows for each set k of a system: the rank
+of E - A_k, the set indices from which an augmenting path exists, and
+the coloops of M|(E - A_k); the same pass grows the first of those
+matchings into one of E for the rank of the whole system.
+``deletion_reach`` memoizes it.  Closure scans, the moves between
+presentations and the full-rank check reduce to reading those numbers
+and bit tests against those masks.
 """
 
 from __future__ import annotations
@@ -218,16 +219,20 @@ class Deletions(NamedTuple):
     sets: tuple[Deletion, ...]
 
 
-@lru_cache(maxsize=4096)
-def deletion_reach(system: SetSystem) -> Deletions:
+def deletion_pass(system: SetSystem,
+                  sup: tuple[int, ...] | None = None) -> Deletions:
     """Rank, reach mask and coloops of each E - A_k, and the rank of E.
 
     The rank of E grows a copy of the matching of E - A_0 by the elements
     of A_0, so the whole pass makes one matching per set.  The element
-    supports are read once and handed to every step of the pass.
+    supports are read once (``sup`` defaults to ``element_supports``)
+    and handed to every step of the pass.  This is the uncached pass,
+    for systems no later call asks about again; ``deletion_reach``
+    caches it.
     """
     full = system.ground.full_mask
-    sup = element_supports(system)
+    if sup is None:
+        sup = element_supports(system)
     owners = [_max_matching_owner(system, full & ~a, sup=sup)
               for a in system.sets]
     whole = (_max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
@@ -236,3 +241,9 @@ def deletion_reach(system: SetSystem) -> Deletions:
         Deletion(len(owner), reach_mask(system, owner, sup),
                  coloop_mask(system, full & ~a, owner, sup))
         for a, owner in zip(system.sets, owners)))
+
+
+@lru_cache(maxsize=4096)
+def deletion_reach(system: SetSystem) -> Deletions:
+    """``deletion_pass(system)``, cached."""
+    return deletion_pass(system)

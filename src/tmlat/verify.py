@@ -22,7 +22,7 @@ from itertools import permutations
 
 from . import extlattice, matching
 from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                   closed_sets, intersection_closure, mask_of)
+                   intersection_closure, mask_of)
 from .matroid import Matroid
 from .presentations import (cover_chain, is_minimal, maximalize,
                             presentation_rank, reindexing_equivalent,
@@ -691,9 +691,10 @@ def _all_poset_lattices(max_points: int):
     An order is a tuple ``below``, ``below[j]`` masking the points under j.
     Each order on k + 1 points is made once, from its order on the first k:
     the new point goes over a down-set D and under a disjoint up-set U, and
-    D already lies under U.  Orders of one size come sorted by their Hasse
-    diagrams' pair bits: a walk over every subset of the pairs, closing
-    each one, meets an order first at its Hasse diagram, which is in every
+    D already lies under U; the up-sets are the complements of the
+    down-sets.  Orders of one size come sorted by their Hasse diagrams'
+    pair bits: a walk over every subset of the pairs, closing each one,
+    meets an order first at its Hasse diagram, which is in every
     generating subset.
     """
     level = [()]
@@ -708,7 +709,7 @@ def _all_poset_lattices(max_points: int):
                        for j, b in enumerate(below)) + (down,)
                  for below in level
                  for down in ideals[below].members
-                 for up in closed_sets(below)
+                 for up in ((point - 1) & ~d for d in ideals[below].members)
                  if not down & up
                  and all(below[u] & down == down for u in bit_indices(up))]
 

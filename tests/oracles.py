@@ -16,7 +16,8 @@ checked by visiting every pair of members and written by Python's
 indenting JSON encoder.  Kuhn's search starts each element with
 nothing visited and re-enters sets a deeper call already visited;
 circuits shrink by one rank query per element; common extensions
-compare the bases of every extension.
+compare the bases of every extension.  The basis exchange axiom is
+scanned over every pair of bases and every element of their difference.
 """
 
 import json
@@ -95,6 +96,17 @@ def brute_common_extension_lattice(a, b):
     return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
                             SubsetLattice(b.r, frozenset(j for _, j in pairs)),
                             tuple(sorted(pairs, key=lambda p: family_key(p[0]))))
+
+
+def brute_basis_exchange(bases) -> bool:
+    """The exchange axiom over every pair of bases A, B and e in A - B."""
+    for a in bases:
+        for b in bases:
+            for e in bit_indices(a & ~b):
+                if not any((a & ~(1 << e)) | (1 << f) in bases
+                           for f in bit_indices(b & ~a)):
+                    return False
+    return True
 
 
 def counting_independent(system, x_mask):

@@ -539,6 +539,15 @@ def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
     assert [common_extension_lattice(a, b) for a, b in pairs] == want
 
 
+def test_common_extensions_cache_only_their_inputs(pair18):
+    """Each extended system's pass is uncached: no later call reads it."""
+    matching.deletion_reach.cache_clear()
+    matching.element_supports.cache_clear()
+    common_extension_lattice(*pair18)
+    assert matching.deletion_reach.cache_info().currsize == 2
+    assert matching.element_supports.cache_info().currsize == 2
+
+
 def test_circuit_support_identity_makes_no_rank_query(monkeypatch,
                                                       threelines_submaximal,
                                                       minmax4, u34_first):

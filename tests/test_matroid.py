@@ -7,11 +7,16 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlat import matroid
-from tmlat.core import GroundSet, bit_indices, make_system, presentation_doc
+from tmlat.core import (GroundSet, SetSystem, bit_indices, make_system,
+                        presentation_doc)
 from tmlat.matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                            principal_extension, transversal_presentation)
+
+from .oracles import brute_basis_exchange
 
 
 def labels(m, mask):
@@ -426,16 +431,78 @@ def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
     assert len(calls) == 1
 
 
+@st.composite
+def equicardinal_families(draw):
+    """Bases of U(r, n) or of a random presentation with a few removed, or
+    any r-subsets at all; 0 < r < n, so that two r-sets can differ."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+    combos = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+    kind = draw(st.sampled_from(("uniform", "presented", "any")))
+    if kind == "any":
+        return n, frozenset(draw(st.sets(st.sampled_from(combos), min_size=2)))
+    if kind == "uniform":
+        family = combos
+    else:
+        sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=r,
+                             max_size=r))
+        m = Matroid.from_system(SetSystem(GroundSet(tuple(map(str, range(n)))),
+                                          tuple(sets)))
+        family = sorted(m.bases())
+    drop = draw(st.sets(st.integers(0, len(family) - 1), min_size=1,
+                        max_size=4))
+    kept = [b for i, b in enumerate(family) if i not in drop]
+    return n, frozenset(kept or family[:1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(equicardinal_families())
+def test_exchange_check_agrees_with_pairwise_scan(case):
+    n, bases = case
+    ground = GroundSet(tuple(map(str, range(n))))
+    if brute_basis_exchange(bases):
+        assert Matroid.from_bases(ground, bases).bases() == bases
+    else:
+        with pytest.raises(ValueError, match="exchange"):
+            Matroid.from_bases(ground, bases)
+
+
+def test_exchange_axiom_checked_on_eleven_elements():
+    names = [f"e{i}" for i in range(11)]
+    with pytest.raises(ValueError, match="exchange"):
+        parse_matroid({"ground": names, "bases": [names[:2], names[2:4]]})
+    m = parse_matroid({"ground": names,
+                       "bases": [list(c) for c in combinations(names, 2)]})
+    assert m.full_rank == 2 and len(m.bases()) == 55
+
+
+def test_exchange_axiom_checked_above_120_bases():
+    """U(4, 10) without two 4-sets sharing three points is no matroid:
+    their union would have rank 3, yet it holds other 4-sets as bases."""
+    names = [f"e{i}" for i in range(10)]
+    quads = [list(c) for c in combinations(names, 4)]
+    drop = (names[:4], names[:3] + [names[4]])
+    bad = [q for q in quads if q not in drop]
+    assert len(bad) == 208
+    with pytest.raises(ValueError, match="exchange"):
+        parse_matroid({"ground": names, "bases": bad})
+    assert len(parse_matroid({"ground": names, "bases": quads}).bases()) == 210
+    # one 4-set removed is a circuit-hyperplane: still a matroid
+    assert len(parse_matroid({"ground": names, "bases": quads[1:]}).bases()) == 209
+
+
 def test_exchange_axiom_checked_under_optimize():
     """``python -O`` still refuses a basis family that is no matroid."""
     code = textwrap.dedent("""
         from tmlat.matroid import parse_matroid
 
-        doc = {"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]}
-        try:
-            parse_matroid(doc)
-        except ValueError as exc:
-            print("raised:", exc, "debug:", __debug__)
+        names = [f"e{i}" for i in range(11)]
+        for ground in (["a", "b", "c", "d"], names):
+            doc = {"ground": ground, "bases": [ground[:2], ground[2:4]]}
+            try:
+                parse_matroid(doc)
+            except ValueError as exc:
+                print("raised:", exc, "debug:", __debug__)
         """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -443,8 +510,8 @@ def test_exchange_axiom_checked_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("raised: basis family violates the exchange axiom "
-                           "debug: False\n")
+    assert proc.stdout == 2 * ("raised: basis family violates the exchange "
+                               "axiom debug: False\n")
 
 
 def complete_graph_k4():
