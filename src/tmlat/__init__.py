@@ -1,38 +1,35 @@
 """Presentations of transversal matroids and their extension lattices."""
 
 from .core import (GroundSet, SetSystem, SubsetLattice, make_system,
-                   parse_lattice, parse_presentation, serialize)
-from .matching import Matching, is_independent, max_matching, rank
+                   parse_lattice, parse_presentation)
+from .matching import is_independent, max_matching, rank
 from .matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
-                      principal_extension, transversal_presentation)
-from .presentations import (PresentationChain, cover_chain, is_maximal,
-                            is_minimal, maximalize, minimal_presentations_below,
-                            preceq, presentation_rank, reindexing_equivalent)
+                      transversal_presentation)
+from .presentations import (cover_chain, is_maximal, is_minimal, maximalize,
+                            minimal_presentations_below, preceq,
+                            presentation_rank, reindexing_equivalent)
 from .extlattice import (CommonExtensions, ExtensionRecord,
-                         common_extension_lattice, cyclic_flat_supports,
-                         extend, extension_lattice,
+                         common_extension_lattice, extend, extension_lattice,
                          extension_lattice_from_supports, extension_matroid,
                          extension_matroids, hasse_dot, index_closure,
-                         irreducibles, is_index_closed, iterated_extend,
-                         tight_supports)
+                         irreducibles, is_index_closed, tight_supports)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, first_occurrence,
                             ideals_of_poset, validate_lattice)
 
 __all__ = [
     "GroundSet", "SetSystem", "SubsetLattice", "make_system", "parse_lattice",
-    "parse_presentation", "serialize",
-    "Matching", "is_independent", "max_matching", "rank",
+    "parse_presentation",
+    "is_independent", "max_matching", "rank",
     "Matroid", "is_transversal", "matroid_doc", "parse_matroid",
-    "principal_extension", "transversal_presentation",
-    "PresentationChain", "cover_chain", "is_maximal", "is_minimal",
-    "maximalize", "minimal_presentations_below", "preceq", "presentation_rank",
+    "transversal_presentation",
+    "cover_chain", "is_maximal", "is_minimal", "maximalize",
+    "minimal_presentations_below", "preceq", "presentation_rank",
     "reindexing_equivalent",
     "CommonExtensions", "ExtensionRecord", "common_extension_lattice",
-    "cyclic_flat_supports", "extend", "extension_lattice",
-    "extension_lattice_from_supports", "extension_matroid",
-    "extension_matroids", "hasse_dot", "index_closure", "irreducibles",
-    "is_index_closed", "iterated_extend", "tight_supports",
+    "extend", "extension_lattice", "extension_lattice_from_supports",
+    "extension_matroid", "extension_matroids", "hasse_dot", "index_closure",
+    "irreducibles", "is_index_closed", "tight_supports",
     "build_maximal_presentation", "build_uniform_presentation",
     "first_occurrence", "ideals_of_poset", "validate_lattice",
 ]

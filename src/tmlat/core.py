@@ -35,16 +35,6 @@ def mask_of(indices) -> int:
     return m
 
 
-def submasks(mask: int):
-    """All submasks of ``mask``, descending, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def family_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for subsets: cardinality, then bitmask value."""
     return (mask.bit_count(), mask)
@@ -290,6 +280,20 @@ def require_list(value, what: str) -> list:
     return value
 
 
+def label_list(value, what: str) -> list[str]:
+    """The labels of the JSON list ``value``, each a string or an integer.
+
+    An integer names the element its decimal string names, so ``1`` and
+    ``"1"`` are one label; any other JSON value is refused.
+    """
+    labels = require_list(value, what)
+    for label in labels:
+        if type(label) not in (str, int):
+            raise ValueError(f"{what} holds the label {json.dumps(label)}; "
+                             "labels are strings or integers")
+    return [str(label) for label in labels]
+
+
 def require_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; booleans, fractions and strings
     are refused."""
@@ -298,7 +302,8 @@ def require_int(value, what: str) -> int:
     return value
 
 
-def _as_document(text):
+def as_document(text):
+    """A JSON document: ``text`` parsed, or ``text`` itself if already parsed."""
     if isinstance(text, (str, bytes)):
         return json.loads(text)
     return text
@@ -306,7 +311,7 @@ def _as_document(text):
 
 def parse_presentation(text) -> SetSystem:
     """Read a presentation document (JSON text or an already-parsed dict)."""
-    doc = _as_document(text)
+    doc = as_document(text)
     try:
         names = require_list(doc["ground"], "'ground'")
         raw_sets = require_list(doc["sets"], "'sets'")
@@ -314,15 +319,15 @@ def parse_presentation(text) -> SetSystem:
         raise ValueError("presentation document needs 'ground' and 'sets'") from None
     if not raw_sets:
         raise ValueError("empty 'sets' list")
-    ground = GroundSet(tuple(str(s) for s in names))
+    ground = GroundSet(tuple(label_list(names, "'ground'")))
     return SetSystem(ground, tuple(
-        ground.mask(str(e) for e in require_list(labels, f"set {k}"))
+        ground.mask(label_list(labels, f"set {k}"))
         for k, labels in enumerate(raw_sets, start=1)))
 
 
 def parse_lattice(text) -> SubsetLattice:
     """Read a lattice document; members are lists of 1-based indices."""
-    doc = _as_document(text)
+    doc = as_document(text)
     try:
         r = require_int(doc["r"], "'r'")
         raw = require_list(doc["sets"], "'sets'")
@@ -380,12 +385,3 @@ def lattice_text(lat: SubsetLattice) -> str:
         return f'{{\n  "r": {lat.r},\n  "sets": []\n}}'
     return (f'{{\n  "r": {lat.r},\n  "sets": [\n' + ",\n".join(sets.values())
             + "\n  ]\n}")
-
-
-def serialize(value) -> str:
-    """Canonical JSON for a SetSystem or SubsetLattice; round-trips exactly."""
-    if isinstance(value, SetSystem):
-        return json.dumps(presentation_doc(value), indent=2)
-    if isinstance(value, SubsetLattice):
-        return lattice_text(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")

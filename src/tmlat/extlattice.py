@@ -20,7 +20,7 @@ from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
                    closed_sets, family_key, intersection_closure)
 from .matroid import Matroid
-from .presentations import is_maximal, maximalize, require_full_rank
+from .presentations import maximalize, require_full_rank
 
 SCAN_LIMIT = 20  # the fixpoint scan walks all 2^r index sets
 
@@ -45,14 +45,6 @@ def extend(system: SetSystem, iset: int, label: str = "x") -> SetSystem:
     sets = tuple(a | xbit if iset & (1 << i) else a
                  for i, a in enumerate(system.sets))
     return SetSystem(ground, sets)
-
-
-def iterated_extend(system: SetSystem, isets) -> SetSystem:
-    """Left fold of ``extend`` with generated labels x1, x2, ..."""
-    current = system
-    for k, iset in enumerate(isets, start=1):
-        current = extend(current, iset, fresh_label(current.ground, f"x{k}"))
-    return current
 
 
 def extension_matroid(system: SetSystem, iset: int, label: str = "x") -> Matroid:
@@ -122,20 +114,6 @@ def extension_lattice_from_supports(system: SetSystem) -> SubsetLattice:
     """The closed-set lattice built as the intersection closure of supports."""
     gen = tight_supports(system)
     return SubsetLattice(gen.r, intersection_closure(gen.members, gen.r))
-
-
-def cyclic_flat_supports(system: SetSystem) -> SubsetLattice:
-    """Supports of the cyclic flats, plus the full index set.
-
-    Only sensible for maximal presentations, where the intersection
-    closure of this family recovers the whole closed-set lattice.
-    """
-    if not is_maximal(system):
-        raise ValueError("cyclic flat supports require a maximal presentation")
-    m = Matroid.from_system(system)
-    members = {system.support(f) for f in m.cyclic_flats()}
-    members.add(system.full_index_mask)
-    return SubsetLattice(system.r, frozenset(members))
 
 
 @dataclass(frozen=True)

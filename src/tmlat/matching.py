@@ -17,30 +17,16 @@ the coloops of M|(E - A_k); the same pass grows the first of those
 matchings into one of E for the rank of the whole system.
 ``deletion_reach`` memoizes it.  Closure scans, the moves between
 presentations and the full-rank check reduce to reading those numbers
-and bit tests against those masks.
+and bit tests against those masks.  ``max_matching`` hands a matching
+out as its sorted (element, set index) pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .core import SetSystem, bit_indices, mask_of
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A partial injective assignment of element indices to set indices."""
-
-    assignment: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.assignment)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
 
 
 @lru_cache(maxsize=4096)
@@ -129,11 +115,11 @@ def fundamental_circuit(system: SetSystem, independent: int,
     return mask_of(owner[j] for j in bit_indices(visited[0]))
 
 
-def max_matching(system: SetSystem, x_mask: int) -> Matching:
-    """A maximum matching of a subset of ``x_mask`` into the sets."""
+def max_matching(system: SetSystem, x_mask: int) -> tuple[tuple[int, int], ...]:
+    """A maximum matching of a subset of ``x_mask`` into the sets, as its
+    (element, set index) pairs in ascending order."""
     owner = _max_matching_owner(system, x_mask)
-    pairs = sorted((e, j) for j, e in owner.items())
-    return Matching(tuple(pairs))
+    return tuple(sorted((e, j) for j, e in owner.items()))
 
 
 def rank(system: SetSystem, x_mask: int) -> int:

@@ -2,16 +2,17 @@
 
 A matroid is backed either by a set-system presentation (rank through
 maximum matchings) or by an explicit family of bases (rank through best
-overlap with a basis).  Derived data (circuits, cocircuits, cyclic
-flats) is computed lazily, cached, and capped at desk scale.
+overlap with a basis).  Derived data (bases, circuits, cocircuits,
+cyclic flats) is computed lazily, cached, and capped at desk scale.
+Restriction is the one minor; the transversality test, a search over
+multisets of cocircuits, splits coloops off with it.
 """
 
 from __future__ import annotations
 
-import json
-
 from . import matching
-from .core import GroundSet, SetSystem, bit_indices, family_key, require_list
+from .core import (GroundSet, SetSystem, as_document, bit_indices, family_key,
+                   label_list, require_list)
 
 ENUM_LIMIT = 16  # subset scans are exponential; larger grounds refuse
 
@@ -84,9 +85,6 @@ class Matroid:
             if self.rank(x_mask | (1 << e)) == r:
                 out |= 1 << e
         return out
-
-    def loops(self) -> int:
-        return self.closure(0)
 
     def is_coloop(self, e: int) -> bool:
         full = self.ground.full_mask
@@ -173,14 +171,12 @@ class Matroid:
                 out.add(self.closure(m))
         return sorted(out, key=family_key)
 
-    def hyperplanes(self) -> list[int]:
-        return self.flats_of_rank(self.full_rank - 1)
-
     def cocircuits(self) -> tuple[int, ...]:
-        """Complements of hyperplanes."""
+        """Complements of hyperplanes, the flats of rank r - 1."""
         if self._cocircuits is None:
             full = self.ground.full_mask
-            self._cocircuits = tuple(sorted((full & ~h for h in self.hyperplanes()),
+            hyperplanes = self.flats_of_rank(self.full_rank - 1)
+            self._cocircuits = tuple(sorted((full & ~h for h in hyperplanes),
                                             key=family_key))
         return self._cocircuits
 
@@ -195,7 +191,7 @@ class Matroid:
             self._cyclic_flats = tuple(sorted(out, key=family_key))
         return self._cyclic_flats
 
-    # -- minors ------------------------------------------------------------
+    # -- restriction --------------------------------------------------------
 
     def restrict(self, x_mask: int) -> "Matroid":
         """The restriction to ``x_mask``, reindexed onto the surviving labels."""
@@ -221,9 +217,6 @@ class Matroid:
                         out |= 1 << new
                 bases.add(out)
         return Matroid(sub, basis_masks=bases)
-
-    def delete(self, d_mask: int) -> "Matroid":
-        return self.restrict(self.ground.full_mask & ~d_mask)
 
     # -- comparisons --------------------------------------------------------
 
@@ -279,23 +272,6 @@ def _check_basis_exchange(bases: frozenset[int]) -> None:
                     covered |= held
             if covered != everything:
                 raise ValueError("basis family violates the exchange axiom")
-
-
-def principal_extension(m: Matroid, y_mask: int, label: str = "x") -> Matroid:
-    """Extend by one element placed freely on the closure of ``y_mask``."""
-    if label in m.ground.names:
-        raise ValueError(f"label {label!r} already present")
-    ext = GroundSet(m.ground.names + (label,))
-    xbit = 1 << m.ground.n
-    r = m.full_rank
-    # Rank rule: adding the new element to Z raises the rank exactly when
-    # y_mask does not lie in cl(Z).  With y_mask == 0 the element is a loop.
-    bases = set(m.bases())
-    if y_mask:
-        for ind in m.independent_sets(max_size=r - 1):
-            if ind.bit_count() == r - 1 and y_mask & ~m.closure(ind):
-                bases.add(ind | xbit)
-    return Matroid.from_bases(ext, bases)
 
 
 # -- transversality -----------------------------------------------------------
@@ -399,15 +375,15 @@ def is_transversal(m: Matroid) -> bool:
 
 def parse_matroid(text) -> Matroid:
     """Read {"ground": [...], "bases": [[...], ...]}; extra keys are ignored."""
-    doc = json.loads(text) if isinstance(text, (str, bytes)) else text
+    doc = as_document(text)
     try:
         names = require_list(doc["ground"], "'ground'")
         raw = require_list(doc["bases"], "'bases'")
     except (KeyError, TypeError):
         raise ValueError("matroid document needs 'ground' and 'bases'") from None
-    ground = GroundSet(tuple(str(s) for s in names))
+    ground = GroundSet(tuple(label_list(names, "'ground'")))
     return Matroid.from_bases(ground, (
-        ground.mask(str(e) for e in require_list(b, f"basis {k}"))
+        ground.mask(label_list(b, f"basis {k}"))
         for k, b in enumerate(raw, start=1)))
 
 

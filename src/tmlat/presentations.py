@@ -8,8 +8,6 @@ separate, coarser comparison used only where explicitly needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import matching
 from .core import SetSystem, bit_indices
 
@@ -28,10 +26,6 @@ def preceq(a: SetSystem, b: SetSystem) -> bool:
     if a.ground.names != b.ground.names or a.r != b.r:
         raise ValueError("presentations have different shape")
     return all(x & ~y == 0 for x, y in zip(a.sets, b.sets))
-
-
-def prec(a: SetSystem, b: SetSystem) -> bool:
-    return preceq(a, b) and a.sets != b.sets
 
 
 def reindexing_equivalent(a: SetSystem, b: SetSystem) -> bool:
@@ -112,24 +106,17 @@ def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:
             if sup[e] & ~(1 << i) & dels[i].reach]
 
 
-@dataclass(frozen=True)
-class PresentationChain:
-    """Single-element steps from a minimal presentation up to some target."""
+def cover_chain(system: SetSystem) -> tuple[SetSystem, ...]:
+    """Single-element steps from some minimal presentation up to ``system``.
 
-    steps: tuple[SetSystem, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
-
-
-def cover_chain(system: SetSystem) -> PresentationChain:
-    """A chain of covers from some minimal presentation up to ``system``."""
+    Each step covers the one before it, so the chain has
+    ``presentation_rank(system) + 1`` steps.
+    """
     steps = [system]
     while pairs := removable_pairs(steps[-1]):
         i, e = pairs[0]
         steps.append(_with_bit(steps[-1], i, e, False))
-    return PresentationChain(tuple(reversed(steps)))
+    return tuple(reversed(steps))
 
 
 def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSystem]:

@@ -350,14 +350,14 @@ def circuit_support_identity(system: SetSystem, iset: int) -> bool:
         return s
 
     acc = system.full_index_mask
-    basis = mask_of(e for e, _ in matching.max_matching(system, full).assignment)
+    basis = mask_of(e for e, _ in matching.max_matching(system, full))
     s = witness(basis)
     if s is None:
         return False
     acc &= s
     for h in bit_indices(system.full_index_mask & ~iset):
         rest = full & ~system.sets[h]
-        zh = mask_of(e for e, _ in matching.max_matching(system, rest).assignment)
+        zh = mask_of(e for e, _ in matching.max_matching(system, rest))
         s = witness(zh)
         if s is None or s & (1 << h):
             return False
@@ -490,7 +490,7 @@ def _check_chain(rep: VerdictReport, chain, r: int, where: str) -> int:
     """Check heights, shrinking lattices and the size bound along a cover
     chain; return how many of its positions lie at height r or more."""
     previous = None
-    for j, step in enumerate(chain.steps):
+    for j, step in enumerate(chain):
         if presentation_rank(step) != j:
             rep.fail(f"{where}: chain step {j} has wrong height")
         members = extlattice.extension_lattice(step).members
@@ -500,7 +500,7 @@ def _check_chain(rep: VerdictReport, chain, r: int, where: str) -> int:
         size = len(members)
         if size > _height_bound(r, j):
             rep.fail(f"{where}: height {j} size {size} breaks the bound")
-    return max(0, len(chain.steps) - r)
+    return max(0, len(chain) - r)
 
 
 def check_threequarters(r: int = 4, trials: int = 30,

@@ -18,6 +18,12 @@ nothing visited and re-enters sets a deeper call already visited;
 circuits shrink by one rank query per element; common extensions
 compare the bases of every extension.  The basis exchange axiom is
 scanned over every pair of bases and every element of their difference.
+
+The helpers that only tests call live here too, so the package keeps
+only what the command line, ``verify`` and its own layers use:
+``submasks``, the strict order ``prec`` on presentations,
+``iterated_extend`` (a fold of ``extend``), ``principal_extension`` of a
+matroid, and ``cyclic_flat_supports`` of a maximal presentation.
 """
 
 import json
@@ -25,13 +31,69 @@ from itertools import combinations
 
 from tmlat import matching
 from tmlat.constructions import ideals_of_poset
-from tmlat.extlattice import CommonExtensions, extension_matroids
-from tmlat.core import (SubsetLattice, bit_indices, family_key, index_list,
-                        lattice_doc, submasks)
+from tmlat.extlattice import (CommonExtensions, extend, extension_matroids,
+                              fresh_label)
+from tmlat.core import (GroundSet, SubsetLattice, bit_indices, family_key,
+                        index_list, lattice_doc)
 from tmlat.matroid import Matroid
-from tmlat.presentations import _with_bit, require_full_rank
+from tmlat.presentations import (_with_bit, is_maximal, preceq,
+                                 require_full_rank)
 from tmlat.verify import (_add_member, distinct_closed_families, family_mask,
                           family_members)
+
+
+def submasks(mask: int):
+    """All submasks of ``mask``, descending, ending with 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def prec(a, b) -> bool:
+    """The strict index-wise order on presentations."""
+    return preceq(a, b) and a.sets != b.sets
+
+
+def iterated_extend(system, isets):
+    """Left fold of ``extend`` with generated labels x1, x2, ..."""
+    current = system
+    for k, iset in enumerate(isets, start=1):
+        current = extend(current, iset, fresh_label(current.ground, f"x{k}"))
+    return current
+
+
+def principal_extension(m, y_mask: int, label: str = "x"):
+    """Extend ``m`` by one element placed freely on the closure of ``y_mask``."""
+    if label in m.ground.names:
+        raise ValueError(f"label {label!r} already present")
+    ext = GroundSet(m.ground.names + (label,))
+    xbit = 1 << m.ground.n
+    r = m.full_rank
+    # Rank rule: adding the new element to Z raises the rank exactly when
+    # y_mask does not lie in cl(Z).  With y_mask == 0 the element is a loop.
+    bases = set(m.bases())
+    if y_mask:
+        for ind in m.independent_sets(max_size=r - 1):
+            if ind.bit_count() == r - 1 and y_mask & ~m.closure(ind):
+                bases.add(ind | xbit)
+    return Matroid.from_bases(ext, bases)
+
+
+def cyclic_flat_supports(system) -> SubsetLattice:
+    """Supports of the cyclic flats, plus the full index set.
+
+    Only sensible for maximal presentations, where the intersection
+    closure of this family recovers the whole closed-set lattice.
+    """
+    if not is_maximal(system):
+        raise ValueError("cyclic flat supports require a maximal presentation")
+    m = Matroid.from_system(system)
+    members = {system.support(f) for f in m.cyclic_flats()}
+    members.add(system.full_index_mask)
+    return SubsetLattice(system.r, frozenset(members))
 
 
 def brute_rank(system, x_mask):

@@ -216,7 +216,7 @@ def test_criterion_09_height_bounds():
         system = random_presentation(r, rng.randint(r, 8),
                                      density=rng.uniform(0.3, 0.9), rng=rng)
         chain = cover_chain(maximalize(system))
-        for j, step in enumerate(chain.steps):
+        for j, step in enumerate(chain):
             size = len(extension_lattice(step))
             if j == 0:
                 ok &= size == 1 << r

@@ -19,6 +19,7 @@ from tmlat.constructions import validate_lattice
 from tmlat.core import (GroundSet, SetSystem, mask_of, parse_lattice,
                         parse_presentation, presentation_doc)
 from tmlat.extlattice import common_extension_lattice, extension_lattice
+from tmlat.matroid import parse_matroid
 from tmlat.presentations import reindexing_equivalent
 from tmlat.verify import presentation_walk
 
@@ -382,6 +383,57 @@ def test_non_integer_fields_exit_3(capsys, tmp_path, command, doc, message):
     assert err == f"error: {message}\n"
 
 
+# Labels are JSON strings or integers.  Each value below reads under str()
+# as a Python repr ("None", "True", "1.5", "{'a': 1}", "['b']"); in the set
+# case the ground holds that repr, so a reader that applies str() to
+# labels accepts every document here.
+NON_LABELS = pytest.mark.parametrize(
+    "label", [None, True, 1.5, {"a": 1}, ["b"]],
+    ids=["null", "true", "fraction", "object", "list"])
+
+
+@NON_LABELS
+@pytest.mark.parametrize("where", ["ground", "set"])
+def test_labels_other_than_strings_and_integers_exit_3(capsys, tmp_path,
+                                                        label, where):
+    if where == "ground":
+        doc, field = {"ground": ["a", label], "sets": [["a"]]}, "'ground'"
+    else:
+        doc, field = {"ground": ["a", str(label)], "sets": [["a", label]]}, "set 1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lattice", str(bad))
+    assert code == 3 and out == ""
+    assert err == (f"error: {field} holds the label {json.dumps(label)}; "
+                   "labels are strings or integers\n")
+
+
+@NON_LABELS
+@pytest.mark.parametrize("where", ["ground", "basis"])
+def test_matroid_labels_other_than_strings_and_integers_are_refused(label,
+                                                                     where):
+    """No subcommand reads a basis document; ``parse_matroid`` does."""
+    if where == "ground":
+        doc, field = {"ground": ["a", label], "bases": [["a"]]}, "'ground'"
+    else:
+        doc, field = ({"ground": ["a", str(label)], "bases": [["a"], [label]]},
+                      "basis 2")
+    with pytest.raises(ValueError) as info:
+        parse_matroid(json.dumps(doc))
+    assert str(info.value) == (f"{field} holds the label {json.dumps(label)}; "
+                               "labels are strings or integers")
+
+
+def test_integer_labels_name_their_decimal_strings(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ground": [1, "b"], "sets": [["1"], [1, "b"]]}))
+    code, out, _ = run(capsys, "maximalize", str(doc))
+    assert code == 0
+    assert json.loads(out)["ground"] == ["1", "b"]
+    assert parse_matroid({"ground": [1, "b"], "bases": [[1], ["b"]]}).bases() \
+        == parse_matroid({"ground": ["1", "b"], "bases": [["1"], ["b"]]}).bases()
+
+
 def test_closed_pipe_is_quiet(tmp_path):
     """``tmlat lattice big.json | head -1`` prints nothing to stderr."""
     names = [f"e{i}" for i in range(12)]
@@ -522,11 +574,23 @@ JSON_VALUES = st.recursive(
                                                      "points", "less"]),
                                     kids, max_size=3)),
     max_leaves=10)
+# Labels: strings, or any JSON scalar (integers are labels, the others are
+# refused).  At most 5 sets of at most 3 labels keep `minimal` and
+# `t-lattice` fast: the walk below a presentation grows with its size.
+STRING_LABELS = st.sampled_from("abcde")
+SCALAR_LABELS = st.sampled_from(
+    ["a", "b", "c", 1, 2, None, True, False, 1.5, 2.0, float("nan")])
+
+
+def presentations(labels, set_labels, unique):
+    return st.fixed_dictionaries({
+        "ground": st.lists(labels, max_size=6, unique=unique),
+        "sets": st.lists(st.lists(set_labels, max_size=3), max_size=5)})
+
+
 NEAR_VALID = st.one_of(
-    st.fixed_dictionaries({
-        "ground": st.lists(st.sampled_from("abcde"), max_size=6),
-        "sets": st.lists(st.lists(st.sampled_from("abcdez"), max_size=4),
-                         max_size=5)}),
+    presentations(STRING_LABELS, STRING_LABELS | st.just("z"), False),
+    presentations(SCALAR_LABELS, SCALAR_LABELS | st.just("z"), True),
     st.fixed_dictionaries({
         "r": NUMBERS,
         "sets": st.lists(st.lists(NUMBERS, max_size=4), max_size=8)}),
@@ -550,14 +614,25 @@ def malformed_documents(draw):
     return text
 
 
+# Every subcommand that reads a file, with the document on stdin ("-");
+# `intersect` takes it on either side of a valid presentation.
+FILE_COMMANDS = [
+    ["lattice", "-"], ["sigma", "-", "--set", "1"],
+    ["extend", "-", "--set", "1"], ["maximalize", "-"], ["minimal", "-"],
+    ["rank", "-"], ["supports", "-"], ["t-lattice", "-"],
+    ["intersect", "-", path("u34_first.json")],
+    ["intersect", path("u34_first.json"), "-"],
+    ["irreducibles", "-"], ["construct-maximal", "-"],
+    ["construct-uniform", "-", "--n", "3"], ["ideals", "-"]]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["lattice", "maximalize", "irreducibles", "ideals"]),
-       malformed_documents())
-def test_malformed_documents_exit_0_or_3(command, text):
+@given(st.sampled_from(FILE_COMMANDS), malformed_documents())
+def test_malformed_documents_exit_0_or_3(argv, text):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), \
             redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "-"])
+        code = main(argv)
     lines = err.getvalue().splitlines()
     assert code in (0, 3)
     assert sum(line.startswith("error:") for line in lines) <= 1

@@ -1,5 +1,6 @@
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,13 @@ from hypothesis import strategies as st
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, intersection_closure, lattice_doc,
                         lattice_text, make_system, mask_of, parse_lattice,
-                        parse_presentation, serialize, submasks)
+                        parse_presentation, presentation_doc)
 
-from .oracles import brute_lattice_text
+from .oracles import brute_lattice_text, submasks
+
+
+def presentation_text(system):
+    return json.dumps(presentation_doc(system), indent=2)
 
 
 def test_bit_helpers():
@@ -71,7 +76,7 @@ def test_loops_have_empty_support():
 
 def test_serialize_round_trip(threelines_maximal, u34_first):
     for system in (threelines_maximal, u34_first):
-        again = parse_presentation(serialize(system))
+        again = parse_presentation(presentation_text(system))
         assert again == system
 
 
@@ -82,10 +87,10 @@ def test_round_trip_on_all_golden_files():
         text = path.read_text()
         if '"sets"' in text and '"ground"' in text:
             system = parse_presentation(text)
-            assert parse_presentation(serialize(system)) == system
+            assert parse_presentation(presentation_text(system)) == system
         elif '"r"' in text:
             lat = parse_lattice(text)
-            again = parse_lattice(serialize(lat))
+            again = parse_lattice(lattice_text(lat))
             assert (again.r, again.members) == (lat.r, lat.members)
 
 
@@ -102,13 +107,13 @@ def test_serialize_lattice_canonical_order():
     doc = lattice_doc(lat)
     assert doc["sets"] == [[], [2], [3], [1, 2], [2, 3], [3, 4],
                            [1, 2, 3], [2, 3, 4], [1, 2, 3, 4]]
-    again = parse_lattice(serialize(lat))
+    again = parse_lattice(lattice_text(lat))
     assert again.members == lat.members and again.r == lat.r
 
 
 def test_serialize_single_empty_member():
     lat = SubsetLattice(3, frozenset([0]))
-    assert json.loads(serialize(lat)) == {"r": 3, "sets": [[]]}
+    assert json.loads(lattice_text(lat)) == {"r": 3, "sets": [[]]}
 
 
 @st.composite
@@ -130,7 +135,6 @@ def subset_families(draw):
 @given(subset_families())
 def test_lattice_text_matches_the_indenting_encoder(lat):
     assert lattice_text(lat) == brute_lattice_text(lat)
-    assert serialize(lat) == lattice_text(lat)
 
 
 def test_lattice_text_edge_families():
@@ -185,6 +189,69 @@ def test_no_bare_assert_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# The functions and methods of the package that nothing in it calls, each
+# with the reason it stays.  Anything else without a caller belongs in
+# tests/oracles.py, or nowhere.
+UNCALLED_ON_PURPOSE = {
+    "make_system": "builds a presentation from label strings, as the "
+                   "README tour does",
+    "weak_leq": "the weak order on matroids, the order on the extensions T_A",
+    "equals": "matroid equality by bases, the route of the common-extension "
+              "oracle",
+    "cyclic_flats": "Z(M), from which transversality can be decided",
+    "parse_matroid": "reads an explicit-basis matroid document, the input of "
+                     "the transversality test",
+    "is_transversal": "the transversality test as a yes-or-no answer",
+    "preceq": "the index-wise order on presentations",
+    "is_maximal": "whether a presentation is the maximal one, the "
+                  "counterpart of is_minimal",
+}
+
+
+def _uncalled_package_functions():
+    """The names of the package's top-level functions and non-dunder
+    methods, each mapped to whether no code in the package refers to it.
+
+    A reference is a name or attribute in code (not in a docstring),
+    outside ``__init__.py`` and outside the definition's own body.  The
+    check is by name, so a method and a function of one name share
+    their references.
+    """
+    package = Path(__file__).resolve().parents[1] / "src" / "tmlat"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+
+    def references(node):
+        return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                       for sub in ast.walk(node)
+                       if isinstance(sub, (ast.Name, ast.Attribute)))
+
+    everywhere = Counter()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            everywhere += references(tree)
+    uncalled = {}
+    for tree in trees.values():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in body:
+                if isinstance(d, ast.FunctionDef) and not (
+                        d.name.startswith("__") and d.name.endswith("__")):
+                    own = references(d)[d.name]
+                    uncalled[d.name] = (uncalled.get(d.name, False)
+                                        or everywhere[d.name] == own)
+    return uncalled
+
+
+def test_every_package_function_has_a_caller_or_a_reason():
+    uncalled = _uncalled_package_functions()
+    assert sorted(name for name, none in uncalled.items()
+                  if none and name not in UNCALLED_ON_PURPOSE) == []
+    # Every entry names a function that still exists and still has no caller.
+    assert sorted(name for name in UNCALLED_ON_PURPOSE
+                  if not uncalled.get(name)) == []
 
 
 def test_readme_tour_imports_resolve_from_the_package():

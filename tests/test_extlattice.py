@@ -8,19 +8,20 @@ from tmlat import extlattice, matching
 from tmlat.constructions import build_maximal_presentation
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         intersection_closure, make_system, mask_of)
-from tmlat.extlattice import (common_extension_lattice, cyclic_flat_supports,
-                              extend, extension_lattice,
+from tmlat.extlattice import (common_extension_lattice, extend,
+                              extension_lattice,
                               extension_lattice_from_supports,
                               extension_matroid, extension_matroids,
                               hasse_dot, index_closure, irreducibles,
-                              is_index_closed, iterated_extend, tight_supports)
+                              is_index_closed, tight_supports)
 from tmlat.matroid import Matroid
 from tmlat.presentations import preceq
 from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
                           disjoint_support_pair, presentation_walk,
                           random_presentation, sharp_common_pair)
 
-from .oracles import brute_circuit_through, brute_common_extension_lattice
+from .oracles import (brute_circuit_through, brute_common_extension_lattice,
+                      cyclic_flat_supports, iterated_extend)
 
 
 def members(lat):
@@ -518,7 +519,7 @@ def test_fundamental_circuits_match_the_rank_shrink(system, data):
     xbit = 1 << system.ground.n
     for x in data.draw(st.lists(st.integers(0, system.ground.full_mask),
                                 min_size=1, max_size=4)):
-        start = mask_of(e for e, _ in matching.max_matching(system, x).assignment)
+        start = mask_of(e for e, _ in matching.max_matching(system, x))
         circuit = matching.fundamental_circuit(system, start, iset)
         want = brute_circuit_through(ext, start | xbit, xbit)
         assert (start if circuit is None else circuit) | xbit == want
@@ -535,7 +536,7 @@ def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
 
     monkeypatch.setattr(extlattice, "extension_matroids", refuse)
     monkeypatch.setattr(Matroid, "bases", refuse)
-    monkeypatch.setattr(Matroid, "hyperplanes", refuse)
+    monkeypatch.setattr(Matroid, "flats_of_rank", refuse)  # hyperplanes too
     assert [common_extension_lattice(a, b) for a, b in pairs] == want
 
 

@@ -12,17 +12,17 @@ from .oracles import brute_max_matching_owner, brute_rank, counting_independent
 def test_matching_is_injective_and_supported(threelines_maximal):
     system = threelines_maximal
     m = matching.max_matching(system, system.ground.full_mask)
-    sets_used = [j for _, j in m.assignment]
+    sets_used = [j for _, j in m]
     assert len(set(sets_used)) == len(sets_used)
-    for e, j in m.assignment:
+    for e, j in m:
         assert system.support(1 << e) & (1 << j)
 
 
 def test_golden_matching_sizes(threelines_maximal, u34_first):
     abc = threelines_maximal.ground.mask("abc")
-    assert matching.max_matching(threelines_maximal, abc).size == 2
-    assert matching.max_matching(u34_first, u34_first.ground.mask("abc")).size == 3
-    assert matching.max_matching(u34_first, 0).size == 0
+    assert len(matching.max_matching(threelines_maximal, abc)) == 2
+    assert len(matching.max_matching(u34_first, u34_first.ground.mask("abc"))) == 3
+    assert len(matching.max_matching(u34_first, 0)) == 0
 
 
 def test_golden_ranks(threelines_maximal, u34_first):
@@ -147,5 +147,5 @@ def test_kept_dead_sets_change_no_assignment(case):
     owner = matching._max_matching_owner(system, x)
     want = brute_max_matching_owner(system, x)
     assert list(owner.items()) == list(want.items())
-    assert matching.max_matching(system, x).assignment == \
+    assert matching.max_matching(system, x) == \
         tuple(sorted((e, j) for j, e in want.items()))

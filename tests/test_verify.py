@@ -201,7 +201,7 @@ def test_sharp_chain_cover_chain_length():
     base = near_uniform_minimal(3)
     for k in range(4):
         chain = cover_chain(sharp_chain_presentation(base, k))
-        assert chain.length == k
+        assert len(chain) - 1 == k
 
 
 def test_census_cap():
