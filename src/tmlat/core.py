@@ -101,6 +101,7 @@ class SetSystem:
 
     ground: GroundSet
     sets: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sets) < 1:
@@ -111,6 +112,12 @@ class SetSystem:
         for a in self.sets:
             if a & ~full:
                 raise ValueError("set contains bits outside the ground set")
+        # systems key the matching caches, so each lookup hashes one; the
+        # generated hash would rehash every ground label each time
+        object.__setattr__(self, "_hash", hash((self.ground, self.sets)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r(self) -> int:

@@ -91,7 +91,8 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
     intersection.  An index set K belongs exactly when the elements
     supported inside K admit a matching onto all of K.  Those elements
     lie in no set outside K, so their rank in the whole system counts
-    that matching.
+    that matching.  Their rank is at most their number, so K with fewer
+    inside elements than indices is out without a matching.
     """
     require_full_rank(system)
     r = system.r
@@ -105,7 +106,8 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
         for e in range(n):
             if sup[e] and sup[e] & ~k_mask == 0:
                 inside |= 1 << e
-        if matching.rank(system, inside) == k_mask.bit_count():
+        size = k_mask.bit_count()
+        if inside.bit_count() >= size and matching.rank(system, inside) == size:
             members.append(k_mask)
     return SubsetLattice(r, frozenset(members))
 

@@ -10,20 +10,25 @@ twice, and the sets a failed search visited stay skipped until the next
 augmentation: no alternating path leaves them while the matching stands.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
-visited (``fundamental_circuit``).  ``deletion_pass`` reads what one
-maximum matching of E - A_k shows for each set k of a system: the rank
-of E - A_k, the set indices from which an augmenting path exists, and
-the coloops of M|(E - A_k); the same pass grows the first of those
-matchings into one of E for the rank of the whole system.
-``deletion_reach`` memoizes it.  Closure scans, the moves between
-presentations and the full-rank check reduce to reading those numbers
-and bit tests against those masks.  ``max_matching`` hands a matching
-out as its sorted (element, set index) pairs.
+visited (``fundamental_circuit``, which takes the matching and makes
+none).  ``deletion_pass`` reads what one maximum matching of E - A_k
+shows for each set k of a system: the rank of E - A_k, the set indices
+from which an augmenting path exists, and the coloops of M|(E - A_k);
+the same pass grows the first of those matchings into one of E for the
+rank of the whole system.  The pass keeps every one of those matchings,
+read-only, so a caller that needs a basis of E or of some E - A_k reads
+it there.  ``deletion_reach`` memoizes it.  Closure scans, the moves
+between presentations, the full-rank check and the circuit-support
+certificate reduce to reading those numbers, bit tests against those
+masks, and searches on copies of those matchings.  ``max_matching``
+hands a matching out as its sorted (element, set index) pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import SetSystem, bit_indices, mask_of
@@ -96,18 +101,20 @@ def _max_matching_owner(system: SetSystem, x_mask: int,
     return owner
 
 
-def fundamental_circuit(system: SetSystem, independent: int,
+def fundamental_circuit(system: SetSystem, independent: Mapping[int, int],
                         adjacency: int) -> int | None:
-    """The elements of ``independent`` on the circuit a fresh element
+    """The elements of an independent set on the circuit a fresh element
     closes with it, the element lying in the sets ``adjacency`` indexes.
 
-    One maximum matching of ``independent`` and one augmenting search
-    from the fresh element decide.  If the search succeeds the union is
-    independent and the answer is None.  Otherwise the circuit is the
-    fresh element plus the elements matched to the sets the search
-    visited: the elements it can replace.
+    ``independent`` is a maximum matching of the independent set, as a
+    map from set index to element, so it covers every element of the
+    set.  One augmenting search from the fresh element, on a copy,
+    decides.  If the search succeeds the union is independent and the
+    answer is None.  Otherwise the circuit is the fresh element plus the
+    elements matched to the sets the search visited: the elements it can
+    replace.
     """
-    owner = _max_matching_owner(system, independent)
+    owner = dict(independent)
     sup = element_supports(system) + (adjacency,)
     visited = [0]
     if _augment_rec(sup, owner, system.ground.n, visited):
@@ -196,37 +203,42 @@ class Deletion(NamedTuple):
     rank: int
     reach: int  # set indices an augmenting path can start from
     coloops: int
+    matching: Mapping[int, int]  # that matching, set index to element
 
 
 class Deletions(NamedTuple):
-    """The rank of a whole system and one ``Deletion`` per set index."""
+    """The rank of a whole system, one ``Deletion`` per set index, and the
+    maximum matching of E the pass grew to find that rank."""
 
     rank: int
     sets: tuple[Deletion, ...]
+    matching: Mapping[int, int]  # set index to element
 
 
 def deletion_pass(system: SetSystem,
                   sup: tuple[int, ...] | None = None) -> Deletions:
-    """Rank, reach mask and coloops of each E - A_k, and the rank of E.
+    """Rank, reach mask, coloops and matching of each E - A_k, and the
+    rank and a matching of E.
 
-    The rank of E grows a copy of the matching of E - A_0 by the elements
-    of A_0, so the whole pass makes one matching per set.  The element
-    supports are read once (``sup`` defaults to ``element_supports``)
-    and handed to every step of the pass.  This is the uncached pass,
-    for systems no later call asks about again; ``deletion_reach``
-    caches it.
+    The matching of E grows a copy of the matching of E - A_0 by the
+    elements of A_0, so the whole pass makes one matching per set.  Each
+    matching is kept as a read-only map from set index to element, which
+    the cache can hand to every caller unchanged.  The element supports
+    are read once (``sup`` defaults to ``element_supports``) and handed
+    to every step of the pass.  This is the uncached pass, for systems
+    no later call asks about again; ``deletion_reach`` caches it.
     """
     full = system.ground.full_mask
     if sup is None:
         sup = element_supports(system)
     owners = [_max_matching_owner(system, full & ~a, sup=sup)
               for a in system.sets]
-    whole = (_max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
-             if owners else {})
+    whole = _max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
     return Deletions(len(whole), tuple(
         Deletion(len(owner), reach_mask(system, owner, sup),
-                 coloop_mask(system, full & ~a, owner, sup))
-        for a, owner in zip(system.sets, owners)))
+                 coloop_mask(system, full & ~a, owner, sup),
+                 MappingProxyType(owner))
+        for a, owner in zip(system.sets, owners)), MappingProxyType(whole))
 
 
 @lru_cache(maxsize=4096)

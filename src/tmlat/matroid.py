@@ -15,6 +15,9 @@ from .core import (GroundSet, SetSystem, as_document, bit_indices, family_key,
                    label_list, require_list)
 
 ENUM_LIMIT = 16  # subset scans are exponential; larger grounds refuse
+# Independent sets one basis enumeration over a presentation may visit;
+# the largest fixture, on 18 elements, visits about 4,100.
+BASES_BUDGET = 200_000
 
 
 class Matroid:
@@ -133,10 +136,18 @@ class Matroid:
             yield from grow(0, 0, 0)
 
     def bases(self) -> frozenset[int]:
+        """Every basis.  A presentation-backed matroid walks its independent
+        sets and refuses once it has visited ``BASES_BUDGET`` of them."""
         if self._bases is None:
             r = self.full_rank
-            self._bases = frozenset(m for m in self.independent_sets(max_size=r)
-                                    if m.bit_count() == r)
+            found = []
+            for visited, m in enumerate(self.independent_sets(max_size=r)):
+                if visited == BASES_BUDGET:
+                    raise ValueError(f"basis enumeration capped at "
+                                     f"{BASES_BUDGET} independent sets")
+                if m.bit_count() == r:
+                    found.append(m)
+            self._bases = frozenset(found)
         return self._bases
 
     # -- derived families -------------------------------------------------

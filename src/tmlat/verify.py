@@ -329,36 +329,36 @@ def circuit_support_identity(system: SetSystem, iset: int) -> bool:
     """Certify that a closed set is the meet of circuit supports.
 
     Every circuit through the new element has support containing the
-    closed set, and for each outside index some circuit avoids it; a
-    witness circuit per index is built from a basis of the matching
-    deletion, so no circuit enumeration is needed.  Each witness is the
-    fundamental circuit of the new element over that basis, read off one
-    matching of the basis and one failed augmenting search from the new
-    element, which is never adjoined: no rank query is made.
+    closed set, and for each outside index h some circuit avoids it; a
+    witness circuit per index is built from a basis of the deletion
+    E - A_h, so no circuit enumeration is needed.  Each witness is the
+    fundamental circuit of the new element over a basis, read off one
+    failed augmenting search from the new element on a copy of a
+    maximum matching of that basis.  The bases and their matchings are
+    the ones the cached ``matching.deletion_reach`` pass keeps, of E and
+    of each E - A_h, so no matching is made and no rank query either;
+    the new element is never adjoined.  The identity holds for any
+    choice of bases, so which maximum matchings the pass keeps changes
+    no verdict.
     """
     if not extlattice.is_index_closed(system, iset):
         return False
     if iset == 0:
         return True  # the new element is a loop, and {x} is its one circuit
-    full = system.ground.full_mask
+    dels = matching.deletion_reach(system)
 
-    def witness(start_mask: int) -> int | None:
-        c = matching.fundamental_circuit(system, start_mask, iset)
-        s = system.support(start_mask if c is None else c)
+    def witness(owner) -> int | None:
+        c = matching.fundamental_circuit(system, owner, iset)
+        s = system.support(mask_of(owner.values()) if c is None else c)
         if iset & ~s:
             return None  # containment fails: not a closed set after all
         return s
 
-    acc = system.full_index_mask
-    basis = mask_of(e for e, _ in matching.max_matching(system, full))
-    s = witness(basis)
-    if s is None:
+    acc = witness(dels.matching)
+    if acc is None:
         return False
-    acc &= s
     for h in bit_indices(system.full_index_mask & ~iset):
-        rest = full & ~system.sets[h]
-        zh = mask_of(e for e, _ in matching.max_matching(system, rest))
-        s = witness(zh)
+        s = witness(dels.sets[h].matching)
         if s is None or s & (1 << h):
             return False
         acc &= s

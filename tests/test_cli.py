@@ -517,6 +517,25 @@ def test_intersect_thirty_elements_in_under_a_second(capsys, tmp_path):
     assert self_pairs == tuple((i, i) for i in extension_lattice(a).sorted_members())
 
 
+def test_t_lattice_thirty_elements_fails_fast(capsys, tmp_path):
+    """Eight random sets on 30 elements have millions of independent
+    sets: the basis enumeration stops at its budget and names it."""
+    from tmlat.matroid import BASES_BUDGET
+
+    rng = random.Random(1)
+    ground = GroundSet(tuple(f"e{i}" for i in range(30)))
+    system = SetSystem(ground, tuple(
+        mask_of(e for e in range(30) if rng.random() < 0.5) for _ in range(8)))
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps(presentation_doc(system)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "t-lattice", str(doc))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == (f"error: basis enumeration capped at {BASES_BUDGET} "
+                   "independent sets\n")
+
+
 @pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],
                                   ["construct-uniform", "--n", "7"]])
 def test_non_closed_lattice_exits_3(capsys, tmp_path, argv):

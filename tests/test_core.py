@@ -55,6 +55,20 @@ def test_parse_presentation_examples():
         parse_presentation({"ground": ["a"], "sets": []})
 
 
+def test_equal_systems_hash_equal_and_share_a_cache_entry():
+    from tmlat import matching
+
+    a = make_system(["a", "b", "c", "d"], [["a", "b", "d"], ["a", "c", "d"]])
+    b = make_system(["a", "b", "c", "d"], [["a", "b", "d"], ["a", "c", "d"]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    matching.deletion_reach.cache_clear()
+    assert matching.deletion_reach(a) is matching.deletion_reach(b)
+    info = matching.deletion_reach.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert make_system(["a", "b", "c", "d"],
+                       [["a", "c", "d"], ["a", "b", "d"]]) != a
+
+
 def test_support_values():
     system = make_system("abcdefghi", ["abc", "abcdef", "defghi", "ghi"])
     assert system.support(system.ground.mask("g")) == 0b1100
@@ -207,6 +221,9 @@ UNCALLED_ON_PURPOSE = {
     "preceq": "the index-wise order on presentations",
     "is_maximal": "whether a presentation is the maximal one, the "
                   "counterpart of is_minimal",
+    "max_matching": "a maximum matching itself, not only its size, in the "
+                    "pair form the cached pass keeps; the package reads the "
+                    "pass's matchings instead",
 }
 
 

@@ -519,8 +519,9 @@ def test_fundamental_circuits_match_the_rank_shrink(system, data):
     xbit = 1 << system.ground.n
     for x in data.draw(st.lists(st.integers(0, system.ground.full_mask),
                                 min_size=1, max_size=4)):
-        start = mask_of(e for e, _ in matching.max_matching(system, x))
-        circuit = matching.fundamental_circuit(system, start, iset)
+        owner = matching._max_matching_owner(system, x)
+        start = mask_of(owner.values())
+        circuit = matching.fundamental_circuit(system, owner, iset)
         want = brute_circuit_through(ext, start | xbit, xbit)
         assert (start if circuit is None else circuit) | xbit == want
 
@@ -547,6 +548,27 @@ def test_common_extensions_cache_only_their_inputs(pair18):
     common_extension_lattice(*pair18)
     assert matching.deletion_reach.cache_info().currsize == 2
     assert matching.element_supports.cache_info().currsize == 2
+
+
+def test_circuit_support_identity_makes_no_matching(monkeypatch, pair18,
+                                                   threelines_submaximal,
+                                                   minmax4, u34_first):
+    """Once the pass is cached, every witness reads a matching it kept."""
+    systems = [threelines_submaximal, minmax4, u34_first, pair18[0]]
+    systems += [random_presentation(r, 8, seed=r) for r in range(2, 7)]
+    closed = [extension_lattice(system).members for system in systems]
+    calls = []
+    original = matching._max_matching_owner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_max_matching_owner", counted)
+    for system, lat in zip(systems, closed):
+        for m in lat:
+            assert circuit_support_identity(system, m)
+    assert calls == []
 
 
 def test_circuit_support_identity_makes_no_rank_query(monkeypatch,

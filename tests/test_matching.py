@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,3 +150,39 @@ def test_kept_dead_sets_change_no_assignment(case):
     assert list(owner.items()) == list(want.items())
     assert matching.max_matching(system, x) == \
         tuple(sorted((e, j) for j, e in want.items()))
+
+
+@st.composite
+def full_rank_systems(draw):
+    """1-5 random sets on up to 8 elements, each set holding its own
+    element of a drawn diagonal, so the rank is the number of sets."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 8))
+    diagonal = draw(st.permutations(range(n)))[:r]
+    sets = tuple(draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal)
+    return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), sets)
+
+
+def assert_maximum_matching(system, owner, x_mask):
+    """``owner`` is a read-only map from set index to element: a matching
+    of ``x_mask`` as large as the brute-force rank."""
+    with pytest.raises(TypeError):
+        owner[0] = 0
+    assert all(x_mask >> e & 1 and system.sets[j] >> e & 1
+               for j, e in owner.items())
+    assert len(set(owner.values())) == len(owner)
+    assert len(owner) == brute_rank(system, x_mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_systems())
+def test_the_pass_keeps_maximum_matchings(system):
+    """Each deletion keeps a maximum matching of E - A_k, on edges that
+    exist, and the pass keeps one of E."""
+    dels = matching.deletion_reach(system)
+    full = system.ground.full_mask
+    for a, d in zip(system.sets, dels.sets):
+        assert_maximum_matching(system, d.matching, full & ~a)
+        assert len(d.matching) == d.rank
+    assert_maximum_matching(system, dels.matching, full)
+    assert len(dels.matching) == dels.rank == system.r
