@@ -15,6 +15,7 @@ intersection.  Each serves as the oracle for the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
@@ -47,8 +48,9 @@ def extend(system: SetSystem, iset: int, label: str = "x") -> SetSystem:
     return SetSystem(ground, sets)
 
 
-def extension_matroid(system: SetSystem, iset: int, label: str = "x") -> Matroid:
-    return Matroid.from_system(extend(system, iset, label))
+def extension_matroid(system: SetSystem, iset: int, label: str = "x",
+                      visits=None) -> Matroid:
+    return Matroid.from_system(extend(system, iset, label), visits)
 
 
 def index_closure(system: SetSystem, iset: int) -> int:
@@ -127,9 +129,11 @@ class ExtensionRecord:
 
 
 def extension_matroids(system: SetSystem) -> tuple[ExtensionRecord, ...]:
-    """One record per closed index set, in canonical order."""
+    """One record per closed index set, in canonical order; the basis
+    walks of all records share one ``BASES_BUDGET``."""
     lat = extension_lattice(system)
-    return tuple(ExtensionRecord(i, extension_matroid(system, i))
+    visits = count(1)
+    return tuple(ExtensionRecord(i, extension_matroid(system, i, visits=visits))
                  for i in lat.sorted_members())
 
 

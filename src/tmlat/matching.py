@@ -2,12 +2,13 @@
 
 ``augment`` is the package's one Kuhn step: every matching in ``tmlat``
 grows through it, whether elements are matched into sets (rank queries,
-independent-set enumeration) or sets into elements of a basis (the
-transversality search).  Rank queries use augmenting paths with
-deterministic tie-breaking (elements ascending, lowest-index set first),
-so returned matchings are reproducible.  A search never enters a set
-twice, and the sets a failed search visited stay skipped until the next
-augmentation: no alternating path leaves them while the matching stands.
+``independent_sets``, the walk that lists a presentation's bases) or
+sets into elements of a basis (the transversality search).  Rank
+queries use augmenting paths with deterministic tie-breaking (elements
+ascending, lowest-index set first), so returned matchings are
+reproducible.  A search never enters a set twice, and the sets a failed
+search visited stay skipped until the next augmentation: no alternating
+path leaves them while the matching stands.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
 visited (``fundamental_circuit``, which takes the matching and makes
@@ -73,6 +74,25 @@ def _augment_rec(sup, owner, node, visited):
             owner[j] = node
             return True
     return False
+
+
+def independent_sets(system: SetSystem, max_size: int):
+    """Yield every independent subset mask of at most ``max_size``
+    elements once, smallest extensions first: a set grows by an element
+    when a copy of its matching augments from that element."""
+    sup = element_supports(system)
+    n = system.ground.n
+
+    def grow(mask, owner, start, size):
+        yield mask
+        if size >= max_size:
+            return
+        for e in range(start, n):
+            trial = dict(owner)
+            if augment(sup, trial, e):
+                yield from grow(mask | (1 << e), trial, e + 1, size + 1)
+
+    yield from grow(0, {}, 0, 0)
 
 
 def _max_matching_owner(system: SetSystem, x_mask: int,

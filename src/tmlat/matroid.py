@@ -1,51 +1,61 @@
-"""Matroid queries over a rank oracle.
+"""Matroid queries over an explicit family of bases.
 
-A matroid is backed either by a set-system presentation (rank through
-maximum matchings) or by an explicit family of bases (rank through best
-overlap with a basis).  Derived data (bases, circuits, cocircuits,
-cyclic flats) is computed lazily, cached, and capped at desk scale.
-Restriction is the one minor; the transversality test, a search over
-multisets of cocircuits, splits coloops off with it.
+Rank is the best overlap with a basis; ``from_system`` lists a
+presentation's bases by the walk ``matching.independent_sets``, under a
+budget.  Circuits, cocircuits and cyclic flats are computed lazily,
+cached, and capped at desk scale.  Restriction is the one minor; the
+transversality test, a search over multisets of cocircuits, splits
+coloops off with it.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import count
+from operator import and_
 
 from . import matching
 from .core import (GroundSet, SetSystem, as_document, bit_indices, family_key,
                    label_list, require_list)
 
 ENUM_LIMIT = 16  # subset scans are exponential; larger grounds refuse
-# Independent sets one basis enumeration over a presentation may visit;
-# the largest fixture, on 18 elements, visits about 4,100.
+# Independent sets the basis enumerations of one call may visit in all;
+# the largest fixture call, t-lattice on 18 elements, visits 62,244.
 BASES_BUDGET = 200_000
 
 
 class Matroid:
-    """A queryable rank oracle with memoized derived structure."""
+    """A matroid given by its bases, with memoized derived structure."""
 
-    def __init__(self, ground: GroundSet, *, system: SetSystem | None = None,
-                 basis_masks=None):
-        if (system is None) == (basis_masks is None):
-            raise ValueError("exactly one of system/basis_masks required")
+    def __init__(self, ground: GroundSet, basis_masks):
+        bases = frozenset(basis_masks)
+        if not bases:
+            raise ValueError("empty basis family")
+        if len({b.bit_count() for b in bases}) != 1:
+            raise ValueError("bases not equicardinal")
         self.ground = ground
-        self.system = system
+        self._bases = bases
         self._rank_memo: dict[int, int] = {}
         self._circuits = None
         self._cocircuits = None
         self._cyclic_flats = None
-        self._bases = None
-        if basis_masks is not None:
-            bases = frozenset(basis_masks)
-            if not bases:
-                raise ValueError("empty basis family")
-            sizes = {b.bit_count() for b in bases}
-            if len(sizes) != 1:
-                raise ValueError("bases not equicardinal")
-            self._bases = bases
 
     @classmethod
-    def from_system(cls, system: SetSystem) -> "Matroid":
-        return cls(system.ground, system=system)
+    def from_system(cls, system: SetSystem, visits=None) -> "Matroid":
+        """The matroid a presentation presents.  Its basis walk refuses once
+        ``visits``, an ``itertools.count(1)`` the walks of one call share,
+        passes ``BASES_BUDGET``."""
+        if visits is None:
+            visits = count(1)
+        r = matching.rank(system, system.ground.full_mask)
+        bases = []
+        for m in matching.independent_sets(system, r):
+            if next(visits) > BASES_BUDGET:
+                raise ValueError(f"basis enumeration capped at "
+                                 f"{BASES_BUDGET} independent sets")
+            if m.bit_count() == r:
+                bases.append(m)
+        return cls(system.ground, bases)
 
     @classmethod
     def from_bases(cls, ground: GroundSet, basis_masks) -> "Matroid":
@@ -57,7 +67,7 @@ class Matroid:
         that derives bases from a matroid already built calls the
         constructor and skips the check.
         """
-        m = cls(ground, basis_masks=basis_masks)
+        m = cls(ground, basis_masks)
         _check_basis_exchange(m._bases)
         return m
 
@@ -67,10 +77,7 @@ class Matroid:
         got = self._rank_memo.get(x_mask)
         if got is not None:
             return got
-        if self.system is not None:
-            r = matching.rank(self.system, x_mask)
-        else:
-            r = max((b & x_mask).bit_count() for b in self._bases)
+        r = max((b & x_mask).bit_count() for b in self._bases)
         self._rank_memo[x_mask] = r
         return r
 
@@ -89,16 +96,9 @@ class Matroid:
                 out |= 1 << e
         return out
 
-    def is_coloop(self, e: int) -> bool:
-        full = self.ground.full_mask
-        return self.rank(full & ~(1 << e)) == self.full_rank - 1
-
     def coloops(self) -> int:
-        m = 0
-        for e in range(self.ground.n):
-            if self.is_coloop(e):
-                m |= 1 << e
-        return m
+        """The elements in every basis."""
+        return reduce(and_, self._bases)
 
     def is_cyclic(self, x_mask: int) -> bool:
         """True when the restriction to ``x_mask`` has no coloops."""
@@ -107,47 +107,23 @@ class Matroid:
 
     # -- independent-set enumeration -------------------------------------
 
-    def independent_sets(self, max_size: int | None = None):
-        """Yield every independent subset mask once, smallest extensions first."""
+    def independent_sets(self, max_size: int):
+        """Yield every independent subset mask of at most ``max_size``
+        elements once, smallest extensions first."""
         n = self.ground.n
-        if self.system is not None:
-            sup = matching.element_supports(self.system)
 
-            def grow(mask, owner, start, size):
-                yield mask
-                if max_size is not None and size >= max_size:
-                    return
-                for e in range(start, n):
-                    trial = dict(owner)
-                    if matching.augment(sup, trial, e):
-                        yield from grow(mask | (1 << e), trial, e + 1, size + 1)
+        def grow(mask, start, size):
+            yield mask
+            if size >= max_size:
+                return
+            for e in range(start, n):
+                m2 = mask | (1 << e)
+                if self.rank(m2) == size + 1:
+                    yield from grow(m2, e + 1, size + 1)
 
-            yield from grow(0, {}, 0, 0)
-        else:
-            def grow(mask, start, size):
-                yield mask
-                if max_size is not None and size >= max_size:
-                    return
-                for e in range(start, n):
-                    m2 = mask | (1 << e)
-                    if self.rank(m2) == size + 1:
-                        yield from grow(m2, e + 1, size + 1)
-
-            yield from grow(0, 0, 0)
+        yield from grow(0, 0, 0)
 
     def bases(self) -> frozenset[int]:
-        """Every basis.  A presentation-backed matroid walks its independent
-        sets and refuses once it has visited ``BASES_BUDGET`` of them."""
-        if self._bases is None:
-            r = self.full_rank
-            found = []
-            for visited, m in enumerate(self.independent_sets(max_size=r)):
-                if visited == BASES_BUDGET:
-                    raise ValueError(f"basis enumeration capped at "
-                                     f"{BASES_BUDGET} independent sets")
-                if m.bit_count() == r:
-                    found.append(m)
-            self._bases = frozenset(found)
         return self._bases
 
     # -- derived families -------------------------------------------------
@@ -205,29 +181,20 @@ class Matroid:
     # -- restriction --------------------------------------------------------
 
     def restrict(self, x_mask: int) -> "Matroid":
-        """The restriction to ``x_mask``, reindexed onto the surviving labels."""
+        """The restriction to ``x_mask``, reindexed onto the surviving labels:
+        its bases are the largest traces ``B & x_mask`` of the bases."""
         keep = bit_indices(x_mask)
-        names = tuple(self.ground.names[i] for i in keep)
-        sub = GroundSet(names)
-        if self.system is not None:
-            remap = {old: new for new, old in enumerate(keep)}
-            sets = []
-            for a in self.system.sets:
-                m = 0
-                for e in bit_indices(a & x_mask):
-                    m |= 1 << remap[e]
-                sets.append(m)
-            return Matroid.from_system(SetSystem(sub, tuple(sets)))
+        sub = GroundSet(tuple(self.ground.names[i] for i in keep))
         rk = self.rank(x_mask)
         bases = set()
-        for m in self.independent_sets(max_size=rk):
-            if m & ~x_mask == 0 and m.bit_count() == rk:
+        for b in self._bases:
+            if (b & x_mask).bit_count() == rk:
                 out = 0
                 for new, old in enumerate(keep):
-                    if m & (1 << old):
+                    if b & (1 << old):
                         out |= 1 << new
                 bases.add(out)
-        return Matroid(sub, basis_masks=bases)
+        return Matroid(sub, bases)
 
     # -- comparisons --------------------------------------------------------
 
@@ -248,8 +215,7 @@ class Matroid:
         return self.bases() == other.bases()
 
     def __repr__(self):
-        kind = "system" if self.system is not None else "bases"
-        return f"Matroid(n={self.ground.n}, {kind})"
+        return f"Matroid(n={self.ground.n}, {len(self._bases)} bases)"
 
 
 def _check_basis_exchange(bases: frozenset[int]) -> None:

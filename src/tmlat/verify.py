@@ -23,7 +23,6 @@ from itertools import permutations
 from . import extlattice, matching
 from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                    intersection_closure, mask_of)
-from .matroid import Matroid
 from .presentations import (cover_chain, is_minimal, maximalize,
                             presentation_rank, reindexing_equivalent,
                             removable_pairs, addable_pairs, _with_bit)
@@ -548,7 +547,7 @@ def check_threequarters(r: int = 4, trials: int = 30,
 def _tight_both_ways(a: SetSystem, b: SetSystem) -> frozenset[int]:
     """Supports tight under both presentations, closed under intersection."""
     gens = set()
-    for ind in Matroid.from_system(a).independent_sets():
+    for ind in matching.independent_sets(a, a.r):
         size = ind.bit_count()
         sa, sb = a.support(ind), b.support(ind)
         if sa.bit_count() == size and sb.bit_count() == size:

@@ -18,6 +18,7 @@ nothing visited and re-enters sets a deeper call already visited;
 circuits shrink by one rank query per element; common extensions
 compare the bases of every extension.  The basis exchange axiom is
 scanned over every pair of bases and every element of their difference.
+A restriction is presented by cutting every set of a presentation.
 
 The helpers that only tests call live here too, so the package keeps
 only what the command line, ``verify`` and its own layers use:
@@ -33,8 +34,8 @@ from tmlat import matching
 from tmlat.constructions import ideals_of_poset
 from tmlat.extlattice import (CommonExtensions, extend, extension_matroids,
                               fresh_label)
-from tmlat.core import (GroundSet, SubsetLattice, bit_indices, family_key,
-                        index_list, lattice_doc)
+from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
+                        family_key, index_list, lattice_doc)
 from tmlat.matroid import Matroid
 from tmlat.presentations import (_with_bit, is_maximal, preceq,
                                  require_full_rank)
@@ -109,6 +110,21 @@ def brute_rank(system, x_mask):
         return top
 
     return best(0, 0)
+
+
+def cut_presentation(system, x_mask):
+    """A presentation of M|x_mask: every set cut to ``x_mask``, the
+    surviving elements reindexed in order."""
+    keep = bit_indices(x_mask)
+    remap = {old: new for new, old in enumerate(keep)}
+    sets = []
+    for a in system.sets:
+        m = 0
+        for e in bit_indices(a & x_mask):
+            m |= 1 << remap[e]
+        sets.append(m)
+    names = tuple(system.ground.names[i] for i in keep)
+    return SetSystem(GroundSet(names), tuple(sets))
 
 
 def brute_max_matching_owner(system, x_mask):

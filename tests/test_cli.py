@@ -536,6 +536,24 @@ def test_t_lattice_thirty_elements_fails_fast(capsys, tmp_path):
                    "independent sets\n")
 
 
+def test_t_lattice_budget_counts_every_extension(capsys, tmp_path):
+    """Twelve singleton sets present the free matroid on twelve elements.
+    Each of its 4,096 extensions has at most 8,191 independent sets, far
+    under the budget, but their enumerations share one budget."""
+    from tmlat.matroid import BASES_BUDGET
+
+    ground = GroundSet(tuple(f"e{i}" for i in range(12)))
+    system = SetSystem(ground, tuple(1 << e for e in range(12)))
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps(presentation_doc(system)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "t-lattice", str(doc))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == (f"error: basis enumeration capped at {BASES_BUDGET} "
+                   "independent sets\n")
+
+
 @pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],
                                   ["construct-uniform", "--n", "7"]])
 def test_non_closed_lattice_exits_3(capsys, tmp_path, argv):

@@ -10,7 +10,6 @@ from tmlat.constructions import (build_maximal_presentation,
                                  ideals_of_poset, validate_lattice)
 from tmlat.core import GroundSet, SetSystem, bit_indices
 from tmlat.extlattice import extension_lattice
-from tmlat.matroid import Matroid
 from tmlat.presentations import is_maximal
 
 from .oracles import (brute_covers, brute_first_occurrence, brute_heights,
@@ -85,7 +84,7 @@ def test_build_maximal_sample_r6():
             n for n in system.ground.names
             if n.startswith("-".join(str(i + 1) for i in bit_indices(m)) + ":"))
         assert system.support(block) == m
-        assert not Matroid.from_system(system).is_independent(block)
+        assert not matching.is_independent(system, block)
 
 
 def test_build_uniform_golden_r6():

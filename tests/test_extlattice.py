@@ -536,6 +536,7 @@ def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
         raise AssertionError("extension matroid or derived family built")
 
     monkeypatch.setattr(extlattice, "extension_matroids", refuse)
+    monkeypatch.setattr(matching, "independent_sets", refuse)  # basis walks
     monkeypatch.setattr(Matroid, "bases", refuse)
     monkeypatch.setattr(Matroid, "flats_of_rank", refuse)  # hyperplanes too
     assert [common_extension_lattice(a, b) for a, b in pairs] == want
