@@ -9,6 +9,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -272,11 +273,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with ``command``'s subparser only, or with every one.
 
     A one-command parser still names every command in its usage line,
-    so its messages match the full parser's.
+    so its messages match the full parser's.  A parser depends on no
+    input, so each is built once per process and reused by later calls.
     """
     parser = argparse.ArgumentParser(
         prog="tmlat",

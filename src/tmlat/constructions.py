@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
-                   bit_indices, closed_sets, family_key, index_list, mask_of)
+                   bit_indices, closed_sets, index_list, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -76,7 +76,7 @@ def build_maximal_presentation(lat: SubsetLattice) -> SetSystem:
     """
     names: list[str] = []
     blocks: list[tuple[int, int]] = []  # (member, element mask)
-    for m in sorted(lat.members, key=family_key):
+    for m in lat.sorted_members():
         if m == 0:
             continue
         start = len(names)
@@ -105,9 +105,10 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     r = lat.r
     if n < r:
         raise ValueError("n must be at least the number of sets")
-    occ = first_occurrence(lat)
+    # at most r members have indices appearing first in them
+    parts = [(m, part) for m, part in first_occurrence(lat).items() if part]
     holder = {}
-    for m, part in occ.items():
+    for m, part in parts:
         for i in bit_indices(part):
             holder[i] = m
     tail = ((1 << n) - 1) & ~((1 << r) - 1)
@@ -115,7 +116,7 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     for i in range(r):
         member = holder[i]
         a = tail
-        for j_member, part in occ.items():
+        for j_member, part in parts:
             if member & j_member == member:
                 a |= part
         sets.append(a)

@@ -68,11 +68,12 @@ class GroundSet:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        index = {s: i for i, s in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise ValueError("duplicate ground labels")
         if len(self.names) > MAX_ELEMENTS:
             raise ValueError(f"ground set larger than {MAX_ELEMENTS} elements")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.names)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -178,6 +179,8 @@ class SubsetLattice:
     members: frozenset[int]
     _least: Mapping[int, int] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _sorted: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 0 or self.r > MAX_SETS:
@@ -196,8 +199,12 @@ class SubsetLattice:
     def __iter__(self):
         return iter(self.sorted_members())
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members, key=family_key)
+    def sorted_members(self) -> tuple[int, ...]:
+        """The members in ``family_key`` order, sorted once per lattice."""
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted",
+                               tuple(sorted(self.members, key=family_key)))
+        return self._sorted
 
     @property
     def full_mask(self) -> int:
@@ -216,24 +223,24 @@ class SubsetLattice:
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lower, upper) of the containment order on members.
 
-        Under union closure ``a | least[j]`` is the least member holding
-        a and j, so the upper covers of ``a`` are the minimal such sets
-        over j outside ``a``: O(|L|·r²) steps.
+        Under union closure ``b = a | least[i]`` is the least member
+        holding a and i.  Every i in ``b - a`` has ``a | least[i]``
+        inside b, so b covers a exactly when all of ``b - a`` maps to b:
+        grouping the indices outside a by their b takes O(|L|·r) steps.
         """
         mem = self.sorted_members()
         if len(mem) > 4096:
             raise ValueError("family too large for cover enumeration")
-        least = self.least_containing()
+        least = [(1 << i, m) for i, m in self.least_containing().items()]
         out = []
         for a in mem:
-            # A set strictly inside b sorts before it, so comparing b with
-            # the minimal sets found so far is enough.
-            ups: list[int] = []
-            for b in sorted({a | m for i, m in least.items() if not a >> i & 1},
-                            key=family_key):
-                if not any(c & b == c for c in ups):
-                    ups.append(b)
-            out.extend((a, b) for b in ups)
+            groups: dict[int, int] = {}
+            for bit, m in least:
+                if not a & bit:
+                    b = a | m
+                    groups[b] = groups.get(b, 0) | bit
+            ups = [b for b, group in groups.items() if group == b ^ a]
+            out.extend((a, b) for b in sorted(ups, key=family_key))
         return out
 
     def heights(self) -> dict[int, int]:
@@ -241,15 +248,21 @@ class SubsetLattice:
 
         A family closed under union and intersection is a distributive
         lattice, where the height of a member is the number of
-        join-irreducibles below it: the distinct ``least[j]`` over j in
-        the member but not in the bottom.
+        join-irreducibles below it, the distinct ``least[i]`` other than
+        the bottom.  A member holds ``least[i]`` exactly when it holds i,
+        so one representative index per join-irreducible makes each
+        height a popcount, after one O(r) pass over the map.
         """
         if not self.members:
             return {}
-        least = self.least_containing()
         mem = self.sorted_members()
-        bottom = mem[0]
-        return {m: len({least[i] for i in bit_indices(m & ~bottom)}) for m in mem}
+        seen = {mem[0]}  # the bottom
+        reps = 0
+        for i, m in self.least_containing().items():
+            if m not in seen:
+                seen.add(m)
+                reps |= 1 << i
+        return {m: (m & reps).bit_count() for m in mem}
 
 
 def intersection_closure(masks, r: int) -> frozenset[int]:

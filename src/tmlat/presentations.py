@@ -11,6 +11,10 @@ from __future__ import annotations
 from . import matching
 from .core import SetSystem, bit_indices
 
+# Presentations one ``minimal_presentations_below`` walk may visit; the
+# walk can grow exponentially with the input, so past this it fails.
+MINIMAL_BUDGET = 50_000
+
 
 def require_full_rank(system: SetSystem) -> int:
     """The number of sets, once the cached matching pass shows full rank."""
@@ -124,7 +128,8 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
 
     With a nonempty ``keep`` mask the result is filtered to presentations
     preserving the supports of every kept element; deleting the kept
-    elements must not drop the rank.
+    elements must not drop the rank.  A walk that visits more than
+    ``MINIMAL_BUDGET`` presentations raises ValueError.
     """
     r = require_full_rank(system)
     if keep:
@@ -133,19 +138,23 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
     seen: set[tuple[int, ...]] = set()
     found: dict[tuple[int, ...], SetSystem] = {}
 
-    def walk(current: SetSystem):
-        key = current.sets
-        if key in seen:
-            return
+    def walk(key: tuple[int, ...]):
+        # only unseen keys become systems, since most steps revisit one
         seen.add(key)
+        if len(seen) > MINIMAL_BUDGET:
+            raise ValueError("minimal presentation walk capped at "
+                             f"{MINIMAL_BUDGET} visited presentations")
+        current = SetSystem(system.ground, key)
         pairs = removable_pairs(current)
         if not pairs:
             found[key] = current
             return
         for i, e in pairs:
-            walk(_with_bit(current, i, e, False))
+            below = key[:i] + (key[i] & ~(1 << e),) + key[i + 1:]
+            if below not in seen:
+                walk(below)
 
-    walk(system)
+    walk(system.sets)
     out = [c for c in found.values()
            if all(c.support(1 << e) == system.support(1 << e)
                   for e in bit_indices(keep))]

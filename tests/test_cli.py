@@ -554,6 +554,33 @@ def test_t_lattice_budget_counts_every_extension(capsys, tmp_path):
                    "independent sets\n")
 
 
+def test_minimal_budget_spares_the_largest_fixture_walk(capsys):
+    """``pair18_maximal.json`` visits 3,025 presentations, far under the
+    budget; its output keeps the bytes it had before there was one."""
+    import hashlib
+
+    code, out, _ = run(capsys, "minimal", path("pair18_maximal.json"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "8929cdb33adeb524"
+
+
+def test_minimal_walk_fails_fast(capsys, tmp_path):
+    """The five 4-subsets of five elements have about half a million
+    presentations below them; the walk stops at its budget.  The bound
+    is on CPU time, which a busy host stretches less than wall time."""
+    from tmlat.presentations import MINIMAL_BUDGET
+
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"ground": list("abcde"), "sets": [
+        [x for x in "abcde" if x != y] for y in "edcba"]}))
+    start = time.process_time()
+    code, out, err = run(capsys, "minimal", str(doc))
+    assert time.process_time() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == (f"error: minimal presentation walk capped at "
+                   f"{MINIMAL_BUDGET} visited presentations\n")
+
+
 @pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],
                                   ["construct-uniform", "--n", "7"]])
 def test_non_closed_lattice_exits_3(capsys, tmp_path, argv):
@@ -727,7 +754,13 @@ def test_one_command_parser_matches_the_full_parser(monkeypatch, name):
 
 
 def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
+    """A call builds only its own command's parser, and only the first
+    time: later calls reuse it, also after a usage error."""
     import argparse
+
+    from tmlat.cli import build_parser
+
+    from .test_cli_golden import GOLDEN, call
 
     built = []
     real = argparse.ArgumentParser.__init__
@@ -737,5 +770,14 @@ def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    code, _, _ = run(capsys, "lattice", path("u34_first.json"))
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()
+    code, first, _ = run(capsys, "lattice", path("u34_first.json"))
     assert code == 0 and built == ["tmlat", "tmlat lattice"]
+    code, again, _ = run(capsys, "lattice", path("u34_first.json"))
+    assert code == 0 and again == first and built == ["tmlat", "tmlat lattice"]
+    bogus = ["lattice", "u34_first.json", "--bogus"]
+    assert call(bogus) == GOLDEN[" ".join(bogus)]
+    valid = ["lattice", "u34_first.json"]
+    assert call(valid) == GOLDEN[" ".join(valid)]
+    assert built == ["tmlat", "tmlat lattice"]

@@ -8,9 +8,10 @@ from tmlat import matching
 from tmlat.constructions import (build_maximal_presentation,
                                  build_uniform_presentation, first_occurrence,
                                  ideals_of_poset, validate_lattice)
-from tmlat.core import GroundSet, SetSystem, bit_indices
+from tmlat.core import GroundSet, SetSystem, SubsetLattice, bit_indices, mask_of
 from tmlat.extlattice import extension_lattice
 from tmlat.presentations import is_maximal
+from tmlat.verify import census_sublattices
 
 from .oracles import (brute_covers, brute_first_occurrence, brute_heights,
                       brute_validate_lattice)
@@ -160,9 +161,9 @@ def test_ideals_transitive_input():
 
 
 @st.composite
-def poset_ideal_lattices(draw):
-    """Order ideals of a random poset on at most 9 points."""
-    points = draw(st.integers(0, 9))
+def poset_ideal_lattices(draw, max_points=9):
+    """Order ideals of a random poset on at most ``max_points`` points."""
+    points = draw(st.integers(0, max_points))
     order = draw(st.permutations(range(1, points + 1)))
     pairs = [(order[i], order[j]) for i in range(points)
              for j in range(i + 1, points)]
@@ -182,12 +183,38 @@ def extension_lattices(draw):
     return extension_lattice(system)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(poset_ideal_lattices(), extension_lattices()))
+@st.composite
+def shifted_ideal_lattices(draw):
+    """An ideal lattice spread over a larger index range: every member
+    also holds a nonempty bottom, and some indices lie in no member.
+    The three kinds of index are interleaved at random."""
+    lat = draw(poset_ideal_lattices(max_points=6))
+    below = draw(st.integers(1, 3))
+    outside = draw(st.integers(0, 3))
+    r = lat.r + below + outside
+    place = draw(st.permutations(range(r)))
+    bottom = mask_of(place[lat.r:lat.r + below])
+    return SubsetLattice(r, frozenset(
+        bottom | mask_of(place[i] for i in bit_indices(m)) for m in lat.members))
+
+
+# Every closed family over [4] up to permutation, many with a nonempty
+# bottom or a top short of [4]; single members included.
+CENSUS_R4 = census_sublattices(4, 0)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(poset_ideal_lattices(), extension_lattices(),
+                 shifted_ideal_lattices(), st.sampled_from(CENSUS_R4)))
 def test_read_offs_match_pairwise_oracles(lat):
-    """Covers, heights and first occurrences read off the least-containing map."""
+    """Covers, heights and first occurrences read off the least-containing
+    map, also where the bottom is nonempty or some index is in no member."""
     assert lat.covers() == brute_covers(lat)
     assert lat.heights() == brute_heights(lat)
+    if len(lat.least_containing()) < lat.r:
+        with pytest.raises(ValueError, match="appears first in no member"):
+            first_occurrence(lat)
+        return
     occ = first_occurrence(lat)
     assert list(occ.items()) == list(brute_first_occurrence(lat).items())
 
