@@ -2,23 +2,26 @@
 
 Rank is the best overlap with a basis; ``from_system`` lists a
 presentation's bases by the walk ``matching.independent_sets``, under a
-budget.  Circuits, cocircuits and cyclic flats are computed lazily,
-cached, and capped at desk scale.  Restriction is the one minor; the
-transversality test, a search over multisets of cocircuits, splits
-coloops off with it.
+budget.  One loop over the bases probes every exchange A - e + f and
+lists the fundamental cocircuits; the exchange check, the circuits and
+the cocircuits read that list, and the cyclic flats are joins of
+closures of circuits.  Each family is computed lazily and cached.
+Restriction is the one minor; the transversality test, a search over
+multisets of cocircuits capped at desk scale, splits coloops off with
+it.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import count
-from operator import and_
+from operator import and_, or_
 
 from . import matching
 from .core import (GroundSet, SetSystem, as_document, bit_indices, family_key,
                    label_list, require_list)
 
-ENUM_LIMIT = 16  # subset scans are exponential; larger grounds refuse
+ENUM_LIMIT = 16  # the cocircuit search is exponential; larger cores refuse
 # Independent sets the basis enumerations of one call may visit in all;
 # the largest fixture call, t-lattice on 18 elements, visits 62,244.
 BASES_BUDGET = 200_000
@@ -63,12 +66,13 @@ class Matroid:
 
         Every family is checked for the exchange axiom here, also under
         ``python -O``: |B| r (n - r) membership probes for |B| bases of
-        rank r on n elements, at most n per label of the family.  Code
-        that derives bases from a matroid already built calls the
+        rank r on n elements, at most n per label of the family.  The
+        probes list the fundamental cocircuits, which the matroid keeps.
+        Code that derives bases from a matroid already built calls the
         constructor and skips the check.
         """
         m = cls(ground, basis_masks)
-        _check_basis_exchange(m._bases)
+        m._exchanges = _check_basis_exchange(m._bases)
         return m
 
     # -- rank oracle ----------------------------------------------------
@@ -100,82 +104,52 @@ class Matroid:
         """The elements in every basis."""
         return reduce(and_, self._bases)
 
-    def is_cyclic(self, x_mask: int) -> bool:
-        """True when the restriction to ``x_mask`` has no coloops."""
-        r = self.rank(x_mask)
-        return all(self.rank(x_mask & ~(1 << e)) == r for e in bit_indices(x_mask))
-
-    # -- independent-set enumeration -------------------------------------
-
-    def independent_sets(self, max_size: int):
-        """Yield every independent subset mask of at most ``max_size``
-        elements once, smallest extensions first."""
-        n = self.ground.n
-
-        def grow(mask, start, size):
-            yield mask
-            if size >= max_size:
-                return
-            for e in range(start, n):
-                m2 = mask | (1 << e)
-                if self.rank(m2) == size + 1:
-                    yield from grow(m2, e + 1, size + 1)
-
-        yield from grow(0, 0, 0)
-
     def bases(self) -> frozenset[int]:
         return self._bases
 
     # -- derived families -------------------------------------------------
 
-    def _guard(self, what: str):
-        if self.ground.n > ENUM_LIMIT:
-            raise ValueError(f"{what} enumeration capped at {ENUM_LIMIT} elements")
+    @cached_property
+    def _exchanges(self) -> list[tuple[int, list[int]]]:
+        return _fundamental_cocircuits(self._bases)
 
     def circuits(self) -> tuple[int, ...]:
-        """All minimal dependent sets, canonically ordered."""
+        """All minimal dependent sets, canonically ordered.
+
+        Each is the fundamental circuit of some f outside some basis A:
+        f and every e in A whose fundamental cocircuit holds f.  No
+        cocircuit holds a loop, so a loop makes a circuit alone.
+        """
         if self._circuits is None:
-            self._guard("circuit")
-            n = self.ground.n
-            found: list[int] = []
-            by_size: list[list[int]] = [[] for _ in range(n + 1)]
-            for m in range(1 << n):
-                by_size[m.bit_count()].append(m)
-            for size in range(1, n + 1):
-                for m in by_size[size]:
-                    if any(c & m == c for c in found):
-                        continue
-                    if self.rank(m) < size:
-                        found.append(m)
+            found = set()
+            for a, cocircuits in self._exchanges:
+                for f in bit_indices(self.ground.full_mask & ~a):
+                    fbit = 1 << f
+                    c = fbit
+                    for d in cocircuits:
+                        if d & fbit:
+                            c |= d & a
+                    found.add(c)
             self._circuits = tuple(sorted(found, key=family_key))
         return self._circuits
 
-    def flats_of_rank(self, k: int) -> list[int]:
-        self._guard("flat")
-        out = set()
-        for m in self.independent_sets(max_size=k):
-            if m.bit_count() == k:
-                out.add(self.closure(m))
-        return sorted(out, key=family_key)
-
     def cocircuits(self) -> tuple[int, ...]:
-        """Complements of hyperplanes, the flats of rank r - 1."""
+        """All minimal sets meeting every basis: the fundamental ones."""
         if self._cocircuits is None:
-            full = self.ground.full_mask
-            hyperplanes = self.flats_of_rank(self.full_rank - 1)
-            self._cocircuits = tuple(sorted((full & ~h for h in hyperplanes),
-                                            key=family_key))
+            found = {d for _, cocircuits in self._exchanges for d in cocircuits}
+            self._cocircuits = tuple(sorted(found, key=family_key))
         return self._cocircuits
 
     def cyclic_flats(self) -> tuple[int, ...]:
+        """Z(M): the loops, and the joins ``closure(F | G)`` of the closures
+        of circuits, as each cyclic flat is the union of its circuits."""
         if self._cyclic_flats is None:
-            self._guard("flat")
-            out = set()
-            for k in range(self.full_rank + 1):
-                for f in self.flats_of_rank(k):
-                    if self.is_cyclic(f):
-                        out.add(f)
-            self._cyclic_flats = tuple(sorted(out, key=family_key))
+            flats = {self.closure(0)}
+            for c in self.circuits():
+                top = self.closure(c)
+                if top not in flats:
+                    flats |= {self.closure(f | top) for f in flats}
+            self._cyclic_flats = tuple(sorted(flats, key=family_key))
         return self._cyclic_flats
 
     # -- restriction --------------------------------------------------------
@@ -218,37 +192,51 @@ class Matroid:
         return f"Matroid(n={self.ground.n}, {len(self._bases)} bases)"
 
 
-def _check_basis_exchange(bases: frozenset[int]) -> None:
-    """Raise unless ``bases`` satisfies the exchange axiom.
+def _fundamental_cocircuits(bases: frozenset[int]) -> list[tuple[int, list[int]]]:
+    """Each basis A with the fundamental cocircuit of each e in A, in the
+    order of e: e and every f with A - e + f a basis.  It meets A in e
+    alone.  Every cocircuit is the fundamental one of some basis."""
+    support = reduce(or_, bases)
+    out = []
+    for a in bases:
+        outside = [1 << f for f in bit_indices(support & ~a)]
+        cocircuits = []
+        for e in bit_indices(a):
+            rest = a ^ (1 << e)
+            d = 1 << e
+            for fbit in outside:
+                if rest | fbit in bases:
+                    d |= fbit
+            cocircuits.append(d)
+        out.append((a, cocircuits))
+    return out
+
+
+def _check_basis_exchange(bases: frozenset[int]) -> list[tuple[int, list[int]]]:
+    """The fundamental cocircuits of ``bases``; raise unless ``bases``
+    satisfies the exchange axiom.
 
     The axiom: for bases A, B and e in A - B, some f in B - A makes
     A - e + f a basis.  For fixed A and e, the bases B with e in A - B
     are those missing e, and every f with A - e + f a basis lies outside
-    A.  So the axiom holds at (A, e) exactly when the bases holding e or
-    some such f are all the bases: with the bases numbered, one OR of
-    bitmasks per f.
+    A.  So the axiom holds at (A, e) exactly when the fundamental
+    cocircuit of e meets every basis: with the bases numbered, one OR of
+    bitmasks per element of it.
     """
-    support = 0
-    for b in bases:
-        support |= b
-    holding = [0] * support.bit_length()  # bases holding each element
-    everything = 0
+    holding = [0] * reduce(or_, bases).bit_length()  # bases holding each element
     for k, b in enumerate(bases):
-        bit = 1 << k
-        everything |= bit
         for e in bit_indices(b):
-            holding[e] |= bit
-    singles = [(1 << f, holding[f]) for f in bit_indices(support)]
-    for a in bases:
-        outside = [(fbit, held) for fbit, held in singles if not a & fbit]
-        for e in bit_indices(a):
-            rest = a ^ (1 << e)
-            covered = holding[e]
-            for fbit, held in outside:
-                if rest | fbit in bases:
-                    covered |= held
+            holding[e] |= 1 << k
+    everything = (1 << len(bases)) - 1
+    fundamental = _fundamental_cocircuits(bases)
+    for _, cocircuits in fundamental:
+        for d in cocircuits:
+            covered = 0
+            for f in bit_indices(d):
+                covered |= holding[f]
             if covered != everything:
                 raise ValueError("basis family violates the exchange axiom")
+    return fundamental
 
 
 # -- transversality -----------------------------------------------------------
@@ -320,6 +308,9 @@ def transversal_presentation(m: Matroid) -> SetSystem | None:
 
     if r0 == 0:
         core_sets: tuple[int, ...] | None = ()
+    elif core.ground.n > ENUM_LIMIT:
+        raise ValueError(f"transversality search capped at {ENUM_LIMIT} "
+                         f"elements")
     else:
         core_sets = _cocircuit_search(core, r0)
     if core_sets is None:

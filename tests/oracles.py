@@ -18,13 +18,17 @@ nothing visited and re-enters sets a deeper call already visited;
 circuits shrink by one rank query per element; common extensions
 compare the bases of every extension.  The basis exchange axiom is
 scanned over every pair of bases and every element of their difference.
-A restriction is presented by cutting every set of a presentation.
+A matroid's circuits come from a scan of all 2^n subsets, and its
+hyperplanes and cyclic flats from closing every independent set of
+each rank.  A restriction is presented by cutting every set of a
+presentation.
 
 The helpers that only tests call live here too, so the package keeps
 only what the command line, ``verify`` and its own layers use:
 ``submasks``, the strict order ``prec`` on presentations,
 ``iterated_extend`` (a fold of ``extend``), ``principal_extension`` of a
-matroid, and ``cyclic_flat_supports`` of a maximal presentation.
+matroid, ``cyclic_flat_supports`` of a maximal presentation, and
+``is_cyclic``.
 """
 
 import json
@@ -72,13 +76,13 @@ def principal_extension(m, y_mask: int, label: str = "x"):
         raise ValueError(f"label {label!r} already present")
     ext = GroundSet(m.ground.names + (label,))
     xbit = 1 << m.ground.n
-    r = m.full_rank
     # Rank rule: adding the new element to Z raises the rank exactly when
     # y_mask does not lie in cl(Z).  With y_mask == 0 the element is a loop.
     bases = set(m.bases())
     if y_mask:
-        for ind in m.independent_sets(max_size=r - 1):
-            if ind.bit_count() == r - 1 and y_mask & ~m.closure(ind):
+        # The independent (r - 1)-sets are the B - e over the bases B.
+        for ind in {b & ~(1 << e) for b in m.bases() for e in bit_indices(b)}:
+            if y_mask & ~m.closure(ind):
                 bases.add(ind | xbit)
     return Matroid.from_bases(ext, bases)
 
@@ -185,6 +189,54 @@ def brute_basis_exchange(bases) -> bool:
                            for f in bit_indices(b & ~a)):
                     return False
     return True
+
+
+def is_cyclic(m, x_mask: int) -> bool:
+    """True when the restriction of ``m`` to ``x_mask`` has no coloops."""
+    r = m.rank(x_mask)
+    return all(m.rank(x_mask & ~(1 << e)) == r for e in bit_indices(x_mask))
+
+
+def brute_circuits(m) -> tuple[int, ...]:
+    """Every subset by size: the dependent ones holding no smaller circuit."""
+    n = m.ground.n
+    found = []
+    for x in sorted(range(1 << n), key=family_key):
+        if m.rank(x) < x.bit_count() and not any(c & x == c for c in found):
+            found.append(x)
+    return tuple(found)
+
+
+def brute_flats_of_rank(m, k: int) -> list[int]:
+    """The closures of the independent k-sets, found by growing every
+    independent set one larger element at a time."""
+    out = set()
+
+    def grow(mask, start, size):
+        if size == k:
+            out.add(m.closure(mask))
+            return
+        for e in range(start, m.ground.n):
+            if m.rank(mask | (1 << e)) == size + 1:
+                grow(mask | (1 << e), e + 1, size + 1)
+
+    if k >= 0:
+        grow(0, 0, 0)
+    return sorted(out, key=family_key)
+
+
+def brute_cocircuits(m) -> tuple[int, ...]:
+    """The complements of the hyperplanes, the flats of rank r - 1."""
+    full = m.ground.full_mask
+    return tuple(sorted((full & ~h for h in brute_flats_of_rank(m, m.full_rank - 1)),
+                        key=family_key))
+
+
+def brute_cyclic_flats(m) -> tuple[int, ...]:
+    """The flats of every rank that are cyclic."""
+    return tuple(sorted({f for k in range(m.full_rank + 1)
+                         for f in brute_flats_of_rank(m, k) if is_cyclic(m, f)},
+                        key=family_key))
 
 
 def counting_independent(system, x_mask):

@@ -280,6 +280,33 @@ def test_negative_trials_exit_2(capsys, suite):
         capsys.readouterr().err
 
 
+# Flags a suite does not read, each beside one it reads where it has any.
+@pytest.mark.parametrize("argv, unread", [
+    (["roundtrip", "--r", "99", "--trials", "3", "--seed", "1"],
+     "--r, --trials, --seed"),
+    (["roundtrip", "--r", "4"], "--r"),
+    (["all", "--r", "5"], "--r"),
+    (["all", "--seed", "1", "--trials", "3"], "--trials"),
+    (["classification", "--r", "4", "--seed", "1"], "--seed"),
+    (["classification", "--trials", "3"], "--trials"),
+])
+def test_verify_refuses_flags_its_suite_ignores(capsys, argv, unread):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("usage: tmlat ")
+    assert got.err.endswith(f"tmlat: error: verify {argv[0]} reads no "
+                            f"{unread}\n")
+
+
+def test_invalid_json_on_stdin_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{bad"))
+    assert run(capsys, "lattice", "-") == (
+        3, "", "error: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)\n")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus-suite"])

@@ -21,7 +21,7 @@ from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
                           random_presentation, sharp_common_pair)
 
 from .oracles import (brute_circuit_through, brute_common_extension_lattice,
-                      cyclic_flat_supports, iterated_extend)
+                      cyclic_flat_supports, is_cyclic, iterated_extend)
 
 
 def members(lat):
@@ -68,7 +68,7 @@ def test_repeated_extension_becomes_cyclic(threelines_maximal):
             added |= 1 << grown.ground.index(name)
     m = Matroid.from_system(grown)
     assert m.rank(added) == iset.bit_count()
-    assert m.is_cyclic(added)
+    assert is_cyclic(m, added)
 
 
 def test_index_closure_goldens(threelines_maximal):
@@ -435,8 +435,8 @@ def test_minimal_presentation_reconstruction(u34_minimal):
     for i in range(system.r):
         iset = system.full_index_mask & ~(1 << i)
         ext = extension_matroid(system, iset)
-        hyper = [h for h in ext.flats_of_rank(ext.full_rank - 1)
-                 if h & xbit and ext.is_cyclic(h)]
+        hyper = [h for h in (full_ground & ~d for d in ext.cocircuits())
+                 if h & xbit and is_cyclic(ext, h)]
         assert len(hyper) == 1
         recovered = full_ground & ~hyper[0] & ~xbit
         assert recovered == system.sets[i]
@@ -538,7 +538,8 @@ def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
     monkeypatch.setattr(extlattice, "extension_matroids", refuse)
     monkeypatch.setattr(matching, "independent_sets", refuse)  # basis walks
     monkeypatch.setattr(Matroid, "bases", refuse)
-    monkeypatch.setattr(Matroid, "flats_of_rank", refuse)  # hyperplanes too
+    monkeypatch.setattr(Matroid, "cocircuits", refuse)  # hyperplanes too
+    monkeypatch.setattr(Matroid, "circuits", refuse)
     assert [common_extension_lattice(a, b) for a, b in pairs] == want
 
 

@@ -16,8 +16,9 @@ from tmlat.core import (GroundSet, SetSystem, bit_indices, make_system,
 from tmlat.matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                            transversal_presentation)
 
-from .oracles import (brute_basis_exchange, brute_rank, cut_presentation,
-                      principal_extension)
+from .oracles import (brute_basis_exchange, brute_circuits, brute_cocircuits,
+                      brute_cyclic_flats, brute_rank, cut_presentation,
+                      is_cyclic, principal_extension)
 
 
 def labels(m, mask):
@@ -84,7 +85,7 @@ def test_cyclic_sets_have_tight_support(threelines_maximal, minmax4):
     for system in (threelines_maximal, minmax4):
         m = Matroid.from_system(system)
         for x in range(1 << system.ground.n):
-            if m.is_cyclic(x):
+            if is_cyclic(m, x):
                 assert system.support(x).bit_count() == m.rank(x)
 
 
@@ -108,6 +109,78 @@ def test_cyclic_flat_goldens(threelines_maximal, u34_first):
     cf = set(m.cyclic_flats())
     assert m.ground.mask("abc") in cf
     assert m.ground.mask("defghi") in cf
+
+
+@st.composite
+def basis_families(draw):
+    """A ground size and the bases of a matroid on it: a random presentation
+    (rank 0 and the empty ground included) or a rank-3 paving matroid on
+    4-8 points, whose proper lines meet pairwise in at most one point; then up
+    to two loops and two coloops added as new elements."""
+    if draw(st.booleans()):
+        system = draw(small_systems())
+        n, bases = system.ground.n, Matroid.from_system(system).bases()
+    else:
+        n = draw(st.integers(4, 8))
+        lines = []
+        for line in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3),
+                                  max_size=5)):
+            if len(line) < n and all(len(line & other) <= 1 for other in lines):
+                lines.append(line)
+        bases = [sum(1 << e for e in c) for c in combinations(range(n), 3)
+                 if not any(set(c) <= line for line in lines)]
+    loops, coloops = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    coloop_mask = ((1 << coloops) - 1) << (n + loops)
+    return n + loops + coloops, frozenset(b | coloop_mask for b in bases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_families())
+def test_families_agree_with_the_subset_scans(case):
+    """Circuits, cocircuits and cyclic flats read off the basis exchanges
+    are the ones the 2^n scan and the walk over independent sets find."""
+    n, bases = case
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    m = Matroid.from_bases(ground, bases)
+    oracle = Matroid(ground, bases)
+    assert m.circuits() == brute_circuits(oracle)
+    assert m.cocircuits() == brute_cocircuits(oracle)
+    assert m.cyclic_flats() == brute_cyclic_flats(oracle)
+
+
+@pytest.mark.parametrize("n, bases, circuits, cocircuits, cyclic_flats", [
+    (0, [0], (), (), (0,)),  # the empty ground
+    (3, [0], (1, 2, 4), (), (7,)),  # rank 0: three loops
+    (2, [1], (2,), (1,), (2,)),  # a coloop and a loop
+    (1, [1], (), (1,), (0,)),  # a coloop alone
+])
+def test_families_of_the_smallest_matroids(n, bases, circuits, cocircuits,
+                                           cyclic_flats):
+    m = Matroid.from_bases(GroundSet(tuple(f"e{i}" for i in range(n))), bases)
+    assert (m.circuits(), m.cocircuits(), m.cyclic_flats()) == \
+        (circuits, cocircuits, cyclic_flats)
+
+
+def test_families_past_sixteen_elements():
+    """U(2, 20): every 3-set is a circuit, every 19-set a cocircuit, and
+    the only cyclic flats are the empty set and the ground."""
+    names = [f"e{i}" for i in range(20)]
+    m = parse_matroid({"ground": names,
+                       "bases": [list(c) for c in combinations(names, 2)]})
+    assert len(m.circuits()) == 1140
+    assert all(c.bit_count() == 3 for c in m.circuits())
+    assert len(m.cocircuits()) == 20
+    assert all(d.bit_count() == 19 for d in m.cocircuits())
+    assert m.cyclic_flats() == (0, m.ground.full_mask)
+
+
+def test_transversality_search_refuses_seventeen_elements():
+    names = [f"e{i}" for i in range(17)]
+    m = parse_matroid({"ground": names,
+                       "bases": [list(c) for c in combinations(names, 2)]})
+    with pytest.raises(ValueError) as err:
+        transversal_presentation(m)
+    assert str(err.value) == "transversality search capped at 16 elements"
 
 
 def test_coloop_goldens(threelines_submaximal, u34_first):
