@@ -44,18 +44,26 @@ def closed_sets(reach) -> list[int]:
     """The subsets I of ``[r]`` with ``I & reach[k] == 0`` for every k not in I.
 
     Here r = len(reach); all 2^r subsets are walked in ascending order.
+    An index k with ``reach[k]`` inside {k} excludes no I that leaves k
+    out, so only the other, active, indices are tested: for each I the
+    active indices outside I, lowest first, up to the first k whose
+    reach meets I.  With no active index (a minimal presentation, an
+    antichain) each of the 2^r members costs one mask test.
     """
     r = len(reach)
-    full = (1 << r) - 1
+    active = 0
+    for k, rk in enumerate(reach):
+        if rk & ~(1 << k):
+            active |= 1 << k
     members = []
     for iset in range(1 << r):
-        rest = full & ~iset
-        closed = True
-        for k in bit_indices(rest):
-            if iset & reach[k]:
-                closed = False
+        rest = active & ~iset
+        while rest:
+            low = rest & -rest
+            if iset & reach[low.bit_length() - 1]:
                 break
-        if closed:
+            rest ^= low
+        else:
             members.append(iset)
     return members
 
@@ -200,10 +208,14 @@ class SubsetLattice:
         return iter(self.sorted_members())
 
     def sorted_members(self) -> tuple[int, ...]:
-        """The members in ``family_key`` order, sorted once per lattice."""
+        """The members in ``family_key`` order, sorted once per lattice.
+
+        Two stable sorts, by value and then by popcount, give that order
+        without a Python key tuple per member.
+        """
         if self._sorted is None:
-            object.__setattr__(self, "_sorted",
-                               tuple(sorted(self.members, key=family_key)))
+            object.__setattr__(self, "_sorted", tuple(
+                sorted(sorted(self.members), key=int.bit_count)))
         return self._sorted
 
     @property

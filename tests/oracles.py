@@ -2,9 +2,11 @@
 
 These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
-counting condition on every subset.  Family closure is a plain
-fixpoint over all pairs, the census table closes each generator family
-from the one without its lowest member, and the lattice read-offs
+counting condition on every subset.  The closed index sets are found
+by testing every outside index of every index set, from a list of
+those indices.  Family closure is a plain fixpoint over all pairs,
+the census table closes each generator family from the one without
+its lowest member, and the lattice read-offs
 (covers, heights, first occurrences) compare members pairwise or
 triplewise.  The moves between presentations re-match every basis
 after each single change, or re-match the deletion of a set without
@@ -245,6 +247,26 @@ def counting_independent(system, x_mask):
         if system.support(z).bit_count() < z.bit_count():
             return False
     return True
+
+
+def brute_closed_sets(reach) -> list[int]:
+    """The subsets I of ``[r]`` with ``I & reach[k] == 0`` for every k not in I.
+
+    Here r = len(reach); all 2^r subsets are walked in ascending order.
+    """
+    r = len(reach)
+    full = (1 << r) - 1
+    members = []
+    for iset in range(1 << r):
+        rest = full & ~iset
+        closed = True
+        for k in bit_indices(rest):
+            if iset & reach[k]:
+                closed = False
+                break
+        if closed:
+            members.append(iset)
+    return members
 
 
 def union_intersection_closure(members, r: int) -> frozenset[int]:

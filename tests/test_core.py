@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                        family_key, intersection_closure, lattice_doc,
-                        lattice_text, make_system, mask_of, parse_lattice,
-                        parse_presentation, presentation_doc)
+                        closed_sets, family_key, intersection_closure,
+                        lattice_doc, lattice_text, make_system, mask_of,
+                        parse_lattice, parse_presentation, presentation_doc)
 
-from .oracles import brute_lattice_text, submasks
+from .oracles import brute_closed_sets, brute_lattice_text, submasks
 
 
 def presentation_text(system):
@@ -157,6 +157,65 @@ def test_lattice_text_edge_families():
                 SubsetLattice(3, frozenset([0b100, 0b111])),
                 SubsetLattice(10, frozenset(range(1 << 10)))):
         assert lattice_text(lat) == brute_lattice_text(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_families())
+def test_sorted_members_follow_family_key(lat):
+    assert lat.sorted_members() == tuple(sorted(lat.members, key=family_key))
+
+
+def test_sorted_members_of_a_large_powerset():
+    lat = SubsetLattice(14, frozenset(range(1 << 14)))
+    assert lat.sorted_members() == tuple(sorted(lat.members, key=family_key))
+
+
+@st.composite
+def reach_vectors(draw):
+    """``reach[k]`` for r <= 10 indices: each a random mask, bit k set or not.
+
+    Some vectors leave every index inactive (``reach[k]`` inside {k}) and
+    some make every index active (a bit other than k in ``reach[k]``).
+    """
+    r = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["mixed", "inactive", "active"]))
+    reach = []
+    for k in range(r):
+        own = draw(st.booleans()) << k
+        others = [j for j in range(r) if j != k]
+        if kind == "inactive" or not others:
+            reach.append(own)
+            continue
+        mask = draw(st.integers(0, (1 << r) - 1)) & ~(1 << k)
+        if kind == "active":
+            mask |= 1 << draw(st.sampled_from(others))
+        reach.append(own | mask)
+    return reach
+
+
+@settings(max_examples=400, deadline=None)
+@given(reach_vectors())
+def test_closed_sets_match_the_full_scan(reach):
+    got = closed_sets(reach)
+    assert got == brute_closed_sets(reach)
+    if all(rk & ~(1 << k) == 0 for k, rk in enumerate(reach)):
+        assert got == list(range(1 << len(reach)))
+
+
+def test_closed_sets_read_no_reach_of_an_inactive_index():
+    """Indices whose reach is only themselves are never tested."""
+
+    class CountingReach(list):
+        reads = 0
+
+        def __getitem__(self, k):
+            self.reads += 1
+            return super().__getitem__(k)
+
+    r = 12
+    reach = CountingReach(1 << k for k in range(r))
+    assert closed_sets(reach) == list(range(1 << r))
+    assert reach.reads <= r
 
 
 def test_intersection_closure():

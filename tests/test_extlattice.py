@@ -138,6 +138,17 @@ def test_lattice_contains_bounds_and_is_closed(threelines_submaximal, minmax4):
                 assert (a | b) in lat and (a & b) in lat
 
 
+def test_lattice_members_are_the_index_closed_sets():
+    """The scan keeps exactly the index sets that ``index_closure`` fixes."""
+    rng = random.Random(7)
+    for _ in range(40):
+        r = rng.randint(1, 6)
+        system = random_presentation(r, rng.randint(r, 9),
+                                     density=rng.uniform(0.2, 0.8), rng=rng)
+        want = {i for i in range(1 << r) if index_closure(system, i) == i}
+        assert extension_lattice(system).members == want
+
+
 def test_generated_strategy_agrees(threelines_maximal, threelines_submaximal,
                                    u34_first, u34_maximal, u34_minimal, minmax4):
     systems = [threelines_maximal, threelines_submaximal, u34_first,
@@ -454,12 +465,9 @@ def test_hasse_dot_output(threelines_maximal):
 
 
 def test_scan_cap():
-    wide = make_system("ab", ["ab"] * 21 + ["ab"])
-    # 22 sets exceeds nothing structurally, but full rank fails first;
-    # build an honest oversized case instead
     names = [f"e{i}" for i in range(22)]
     big = make_system(names, [[names[i]] for i in range(22)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at 20 sets"):
         extension_lattice(big)
 
 
