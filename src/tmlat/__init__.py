@@ -14,8 +14,8 @@ from .extlattice import (CommonExtensions, ExtensionRecord,
                          extension_matroids, hasse_dot, index_closure,
                          irreducibles, is_index_closed, tight_supports)
 from .constructions import (build_maximal_presentation,
-                            build_uniform_presentation, first_occurrence,
-                            ideals_of_poset, validate_lattice)
+                            build_uniform_presentation, ideals_of_poset,
+                            validate_lattice)
 
 __all__ = [
     "GroundSet", "SetSystem", "SubsetLattice", "make_system", "parse_lattice",
@@ -31,6 +31,6 @@ __all__ = [
     "extension_matroid", "extension_matroids", "hasse_dot", "index_closure",
     "irreducibles", "is_index_closed", "tight_supports",
     "build_maximal_presentation", "build_uniform_presentation",
-    "first_occurrence", "ideals_of_poset", "validate_lattice",
+    "ideals_of_poset", "validate_lattice",
 ]
 __version__ = "0.1.0"

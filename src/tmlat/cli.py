@@ -59,6 +59,11 @@ def _index_arg(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _label_arg(text: str) -> list[str]:
+    """Split a comma-separated list of labels; '' is the empty list."""
+    return text.split(",") if text else []
+
+
 def _count_arg(text: str) -> int:
     """Parse a non-negative integer count."""
     try:
@@ -120,7 +125,7 @@ def cmd_maximalize(args) -> int:
 
 def cmd_minimal(args) -> int:
     system = _load_presentation(args.file)
-    keep = system.ground.mask(args.keep.split(",")) if args.keep else 0
+    keep = system.ground.mask(args.keep or [])
     below = minimal_presentations_below(system, keep)
     _emit({"presentation_rank": presentation_rank(system),
            "is_minimal": is_minimal(system),
@@ -130,16 +135,16 @@ def cmd_minimal(args) -> int:
 
 def cmd_rank(args) -> int:
     system = _load_presentation(args.file)
-    mask = (system.ground.mask(args.keep.split(","))
-            if args.keep else system.ground.full_mask)
+    mask = (system.ground.full_mask if args.keep is None
+            else system.ground.mask(args.keep))
     _emit({"rank": matching.rank(system, mask)})
     return 0
 
 
 def cmd_supports(args) -> int:
     system = _load_presentation(args.file)
-    if args.keep:
-        masks = [system.support(system.ground.mask(args.keep.split(",")))]
+    if args.keep is not None:
+        masks = [system.support(system.ground.mask(args.keep))]
     else:
         masks = sorted({system.support(1 << e)
                         for e in range(system.ground.n)},
@@ -234,7 +239,8 @@ _FILE = ("file", {"help": "input path, or - for stdin"})
 _DOT = ("--dot", {"action": "store_true", "help": "emit a Hasse diagram"})
 _SET = ("--set", {"required": True, "type": _index_arg,
                  "help": "comma-separated 1-based indices"})
-_LABELS = ("--keep", {"help": "comma-separated element labels"})
+_LABELS = ("--keep", {"type": _label_arg,
+                      "help": "comma-separated element labels"})
 
 # name: (function, help text, arguments as (name, add_argument options))
 COMMANDS = {
@@ -246,8 +252,9 @@ COMMANDS = {
     "maximalize": (cmd_maximalize, "greatest presentation of the matroid",
                    (_FILE,)),
     "minimal": (cmd_minimal, "minimal presentations below the input",
-                (_FILE, ("--keep", {"help": "labels whose supports must be "
-                                           "preserved"}))),
+                (_FILE, ("--keep", {"type": _label_arg,
+                                    "help": "labels whose supports must be "
+                                            "preserved"}))),
     "rank": (cmd_rank, "rank of a subset (default: the whole ground)",
              (_FILE, _LABELS)),
     "supports": (cmd_supports, "support of a subset, or all supports",

@@ -2,9 +2,10 @@
 
 Any union- and intersection-closed family over [r] containing the empty
 set and [r] arises as the closed-set lattice of some presentation.  Two
-constructions are provided: a maximal presentation on blocks of fresh
-elements, and a presentation of a uniform matroid on [n].  Order-ideal
-helpers generate test lattices from finite posets.
+constructions read it off the lattice's least-containing map: a maximal
+presentation on one block of fresh elements per join-irreducible, and a
+presentation of a uniform matroid on [n].  Order-ideal helpers generate
+test lattices from finite posets.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
-                   bit_indices, closed_sets, index_list, mask_of)
+                   bit_indices, closed_sets, family_key, index_list, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -47,81 +48,70 @@ def validate_lattice(members, r: int) -> SubsetLattice:
     return lat
 
 
-def first_occurrence(lat: SubsetLattice) -> dict[int, int]:
-    """Map each member I to the indices appearing first in I.
-
-    An index appears first in the smallest member containing it; the
-    nonempty images partition [r].
-    """
-    least = lat.least_containing()
-    if len(least) != lat.r:
-        raise ValueError("an index appears first in no member")
-    occ = dict.fromkeys(lat.members, 0)
-    for i, m in least.items():
-        occ[m] |= 1 << i
-    return occ
-
-
-def _member_name(m: int) -> str:
-    return "-".join(str(i + 1) for i in bit_indices(m))
-
-
 def build_maximal_presentation(lat: SubsetLattice) -> SetSystem:
     """A maximal presentation whose closed-set lattice is ``lat``.
 
-    Each nonempty member I contributes a block of |I|+1 fresh elements
-    lying in exactly the sets indexed by I; the block is dependent, so
-    no element can enter a set outside its support.  ``lat`` is trusted
-    to be closed and to hold the empty set and [r].
+    Each join-irreducible J, a distinct nonzero ``least[i]``, gets a
+    block B_J of |J|+1 fresh elements lying in exactly the sets indexed
+    by J; blocks follow ``family_key`` order.  ``lat`` is trusted to be
+    closed and to hold the empty set and [r].
+
+    Why L is the lattice.  Every member is the union of the
+    join-irreducibles inside it, so G_k, the union of those avoiding k,
+    is the greatest member avoiding k.  E - A_k is the union of the B_J
+    with k not in J, and all of them lie in sets of G_k.  Each i in G_k
+    has its block B_least[i] in E - A_k; the blocks are disjoint, and
+    the indices i with least[i] = J lie in J, fewer than |B_J|.  So
+    Hall's condition holds, and a maximum matching of E - A_k covers
+    G_k.  An alternating path from a set of G_k goes on through its
+    matched element, which lies only in sets of G_k, all matched; so the
+    deletion reach of k is [r] - G_k, and k joins the closure of I
+    exactly when I is not inside G_k.  Hence I is closed exactly when I
+    is the intersection of the G_k over the k outside I, that is, when
+    I is in L.
+
+    Why it is maximal.  For i not in J, the |J|+1 elements of B_J lie on
+    |J| sets, so each misses some maximum matching of E - A_i and is no
+    coloop there: no pair is addable.
+
+    Size.  Of the t <= r join-irreducibles in size order, the s-th
+    misses an index whose least member is each later one, so
+    |J_s| <= r - t + s, and the ground holds at most r(r+3)/2 elements,
+    as many as the r-chain needs.  Every lattice with r <= 9 fits in the
+    64-element ground; the 10-chain needs 65.
     """
     names: list[str] = []
-    blocks: list[tuple[int, int]] = []  # (member, element mask)
-    for m in lat.sorted_members():
-        if m == 0:
-            continue
-        start = len(names)
-        stem = _member_name(m)
-        names.extend(f"{stem}:{k}" for k in range(m.bit_count() + 1))
-        blocks.append((m, ((1 << (len(names) - start)) - 1) << start))
-    ground = GroundSet(tuple(names))
-    sets = []
-    for i in range(lat.r):
-        a = 0
-        for m, block in blocks:
-            if m & (1 << i):
-                a |= block
-        sets.append(a)
-    return SetSystem(ground, tuple(sets))
+    sets = [0] * lat.r
+    for j in sorted(set(lat.least_containing().values()) - {0}, key=family_key):
+        block = ((1 << (j.bit_count() + 1)) - 1) << len(names)
+        stem = "-".join(map(str, index_list(j)))
+        names.extend(f"{stem}:{k}" for k in range(j.bit_count() + 1))
+        for i in bit_indices(j):
+            sets[i] |= block
+    return SetSystem(GroundSet(tuple(names)), tuple(sets))
 
 
 def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     """A presentation of the rank-r uniform matroid on [n] realizing ``lat``.
 
-    ``lat`` is trusted to be closed and to hold the empty set and [r];
-    ``verify`` checks the result is uniform.
+    Element j < r lies in the sets indexed by ``least[j]``, so its
+    support is the least member holding j; the elements from r on lie in
+    every set.  ``lat`` is trusted to be closed and to hold the empty
+    set and [r]; ``verify`` checks the result is uniform.
     """
     if n > MAX_ELEMENTS:  # before n names and a 2^n mask are built
         raise ValueError(f"ground set larger than {MAX_ELEMENTS} elements")
     r = lat.r
     if n < r:
         raise ValueError("n must be at least the number of sets")
-    # at most r members have indices appearing first in them
-    parts = [(m, part) for m, part in first_occurrence(lat).items() if part]
-    holder = {}
-    for m, part in parts:
-        for i in bit_indices(part):
-            holder[i] = m
+    least = lat.least_containing()
+    if len(least) != r:
+        raise ValueError("an index appears first in no member")
     tail = ((1 << n) - 1) & ~((1 << r) - 1)
-    sets = []
-    for i in range(r):
-        member = holder[i]
-        a = tail
-        for j_member, part in parts:
-            if member & j_member == member:
-                a |= part
-        sets.append(a)
+    sets = tuple(tail | mask_of(j for j, m in least.items() if m >> i & 1)
+                 for i in range(r))
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    return SetSystem(ground, tuple(sets))
+    return SetSystem(ground, sets)
 
 
 def ideals_of_poset(points: int, less) -> SubsetLattice:

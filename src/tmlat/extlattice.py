@@ -153,27 +153,23 @@ def irreducibles(lat: SubsetLattice):
     ``least_containing[i]`` is the smallest member containing index i.
     Join-irreducibles are the distinct such minima (omitting the bottom
     member); meet-irreducibles are the distinct maxima avoiding an index.
+    Every member is the bottom joined with the ``least[j]`` of its
+    indices, so the greatest member avoiding i is the bottom joined with
+    the ``least[j]`` that avoid i: O(r^2) steps once the map is built.
     """
     if not lat.members:
         raise ValueError("empty family")
-    mem = lat.members
-    top = 0
-    bottom = None
-    for m in mem:
-        top |= m
-        bottom = m if bottom is None else bottom & m
-
+    mem = lat.sorted_members()
+    bottom, top = mem[0], mem[-1]
     least = lat.least_containing()
-    join_irr = sorted({v for v in least.values() if v != bottom}, key=family_key)
-
+    join_irr = sorted(set(least.values()) - {bottom}, key=family_key)
     meet_irr = set()
     for i in bit_indices(top & ~bottom):
-        union = 0
-        for m in mem:
-            if not m & (1 << i):
-                union |= m
-        if union != top:
-            meet_irr.add(union)
+        avoid = bottom
+        for m in least.values():
+            if not m >> i & 1:
+                avoid |= m
+        meet_irr.add(avoid)
     return join_irr, sorted(meet_irr, key=family_key), least
 
 

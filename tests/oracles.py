@@ -6,13 +6,14 @@ counting condition on every subset.  The closed index sets are found
 by testing every outside index of every index set, from a list of
 those indices.  Family closure is a plain fixpoint over all pairs,
 the census table closes each generator family from the one without
-its lowest member, and the lattice read-offs
-(covers, heights, first occurrences) compare members pairwise or
-triplewise.  The moves between presentations re-match every basis
-after each single change, or re-match the deletion of a set without
-each outside element.  The verify suites' inputs and checks come from
-the walks they replaced: every subset of relation pairs closed and
-deduplicated, one matching per r-subset for uniformity, and maximal
+its lowest member, and the lattice read-offs (covers, heights, first
+occurrences, meet-irreducibles) compare members pairwise or
+triplewise.  The maximal presentation of a lattice gives a block to
+every nonempty member, not only to each join-irreducible.  The moves
+between presentations re-match every basis after each single change,
+or re-match the deletion of a set without each outside element.  The
+verify suites' inputs and checks come from the walks they replaced:
+every subset of relation pairs closed and deduplicated, one matching per r-subset for uniformity, and maximal
 sublattices by comparing all pairs of candidates.  Lattice files are
 checked by visiting every pair of members and written by Python's
 indenting JSON encoder.  Kuhn's search starts each element with
@@ -342,6 +343,41 @@ def brute_first_occurrence(lat):
                 below |= other
         occ[m] = m & ~below
     return occ
+
+
+def brute_meet_irreducibles(lat):
+    """For each index i above the bottom, the union of the members
+    avoiding i, in ``family_key`` order."""
+    top = bottom = None
+    for m in lat.members:
+        top = m if top is None else top | m
+        bottom = m if bottom is None else bottom & m
+    out = set()
+    for i in bit_indices(top & ~bottom):
+        union = 0
+        for m in lat.members:
+            if not m & (1 << i):
+                union |= m
+        out.add(union)
+    return sorted(out, key=family_key)
+
+
+def brute_maximal_presentation(lat):
+    """A block of |I|+1 fresh elements for every nonempty member I, lying
+    in exactly the sets indexed by I: sum(|I| + 1) elements in all."""
+    names = []
+    blocks = []  # (member, element mask)
+    for m in lat.sorted_members():
+        if m:
+            start = len(names)
+            stem = "-".join(map(str, index_list(m)))
+            names.extend(f"{stem}:{k}" for k in range(m.bit_count() + 1))
+            blocks.append((m, ((1 << (len(names) - start)) - 1) << start))
+    sets = [0] * lat.r
+    for m, block in blocks:
+        for i in bit_indices(m):
+            sets[i] |= block
+    return SetSystem(GroundSet(tuple(names)), tuple(sets))
 
 
 def brute_removable_pairs(system):

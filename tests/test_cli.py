@@ -106,6 +106,14 @@ def test_rank_and_supports(capsys):
     assert json.loads(out)["sets"] == [[1, 2], [2, 3], [3, 4]]
 
 
+def test_rank_and_supports_of_the_empty_set(capsys):
+    """`--keep ''` names no label, as `--set ''` names no index."""
+    code, out, _ = run(capsys, "rank", path("u34_first.json"), "--keep", "")
+    assert (code, json.loads(out)) == (0, {"rank": 0})
+    code, out, _ = run(capsys, "supports", path("u34_first.json"), "--keep", "")
+    assert (code, json.loads(out)) == (0, {"r": 3, "sets": [[]]})
+
+
 def test_t_lattice(capsys):
     code, out, _ = run(capsys, "t-lattice", path("u34_first.json"))
     assert code == 0
@@ -145,10 +153,25 @@ def test_construct_uniform(capsys):
 
 
 def test_construct_maximal(capsys):
+    # one block per join-irreducible: {1,...,5} is join-reducible
     code, out, _ = run(capsys, "construct-maximal", path("sample_lattice_r6.json"))
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["ground"]) == 23
+    assert len(doc["ground"]) == 2 + 4 + 4 + 7
+
+
+def test_construct_maximal_ground_cap(capsys, tmp_path):
+    """The 9-chain fits on 54 elements; the 10-chain needs 65."""
+    for r, expect in ((9, 0), (10, 3)):
+        lattice = tmp_path / f"chain{r}.json"
+        lattice.write_text(json.dumps(
+            {"r": r, "sets": [list(range(1, k + 1)) for k in range(r + 1)]}))
+        code, out, err = run(capsys, "construct-maximal", str(lattice))
+        assert code == expect
+        if expect:
+            assert (out, err) == ("", "error: ground set larger than 64 elements\n")
+        else:
+            assert len(json.loads(out)["ground"]) == 54
 
 
 def test_ideals(capsys):

@@ -1,19 +1,21 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tmlat import matching
 from tmlat.constructions import (build_maximal_presentation,
-                                 build_uniform_presentation, first_occurrence,
-                                 ideals_of_poset, validate_lattice)
-from tmlat.core import GroundSet, SetSystem, SubsetLattice, bit_indices, mask_of
-from tmlat.extlattice import extension_lattice
+                                 build_uniform_presentation, ideals_of_poset,
+                                 validate_lattice)
+from tmlat.core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
+                        bit_indices, mask_of)
+from tmlat.extlattice import extension_lattice, irreducibles
 from tmlat.presentations import is_maximal
-from tmlat.verify import census_sublattices
+from tmlat.verify import _all_poset_lattices, census_sublattices
 
 from .oracles import (brute_covers, brute_first_occurrence, brute_heights,
+                      brute_maximal_presentation, brute_meet_irreducibles,
                       brute_validate_lattice)
 
 SAMPLE_R6 = frozenset([0, 0b000001, 0b000111, 0b011001, 0b011111, 0b111111])
@@ -37,31 +39,26 @@ def test_validate_lattice():
         validate_lattice([0b00, 0b01], 2)
 
 
-def test_first_occurrence_golden():
+def test_least_containing_golden():
     lat = validate_lattice(SAMPLE_R6, 6)
-    occ = first_occurrence(lat)
-    assert occ[0] == 0
-    assert occ[0b000001] == 0b000001
-    assert occ[0b000111] == 0b000110
-    assert occ[0b011001] == 0b011000
-    assert occ[0b011111] == 0
-    assert occ[0b111111] == 0b100000
+    # {1,...,5} is the least member of no index: it is join-reducible
+    assert dict(lat.least_containing()) == {
+        0: 0b000001, 1: 0b000111, 2: 0b000111,
+        3: 0b011001, 4: 0b011001, 5: 0b111111}
 
 
-def test_first_occurrence_powerset_and_chain():
+def test_least_containing_powerset_and_chain():
     powerset = validate_lattice(range(1 << 3), 3)
-    occ = first_occurrence(powerset)
-    for m in powerset.members:
-        assert occ[m] == (m if m.bit_count() == 1 else 0)
+    assert dict(powerset.least_containing()) == {0: 0b001, 1: 0b010, 2: 0b100}
     chain = validate_lattice([0b00, 0b01, 0b11], 2)
-    occ = first_occurrence(chain)
-    assert occ == {0b00: 0, 0b01: 0b01, 0b11: 0b10}
+    assert dict(chain.least_containing()) == {0: 0b01, 1: 0b11}
 
 
 def test_build_maximal_sizes_and_roundtrip():
+    # one block per join-irreducible, {1} and {2}; none for {1,2}
     lat = validate_lattice(range(1 << 2), 2)
     system = build_maximal_presentation(lat)
-    assert system.ground.n == 2 + 2 + 3
+    assert system.ground.n == 2 + 2
     assert extension_lattice(system).members == lat.members
     assert is_maximal(system)
 
@@ -74,13 +71,11 @@ def test_build_maximal_sizes_and_roundtrip():
 def test_build_maximal_sample_r6():
     lat = validate_lattice(SAMPLE_R6, 6)
     system = build_maximal_presentation(lat)
-    assert system.ground.n == 2 + 4 + 4 + 6 + 7
+    assert system.ground.n == 2 + 4 + 4 + 7
     assert extension_lattice(system).members == lat.members
     assert is_maximal(system)
-    # every block is dependent and supported exactly on its member
-    for m in sorted(lat.members):
-        if m == 0:
-            continue
+    # every block is dependent and supported exactly on its join-irreducible
+    for m in set(lat.least_containing().values()):
         block = system.ground.mask(
             n for n in system.ground.names
             if n.startswith("-".join(str(i + 1) for i in bit_indices(m)) + ":"))
@@ -120,24 +115,82 @@ def test_build_uniform_trivial_lattice():
 
 def test_build_uniform_support_law():
     lat = validate_lattice(SAMPLE_R6, 6)
-    occ = first_occurrence(lat)
     system = build_uniform_presentation(lat, 8)
-    for m, part in occ.items():
-        for i in bit_indices(part):
-            assert system.support(1 << i) == m
+    for i, m in lat.least_containing().items():
+        assert system.support(1 << i) == m
 
 
 def test_build_maximal_rank5_samples():
-    # five-point posets whose block construction stays within the ground cap
-    for less in ([(1, 2), (2, 3), (3, 4), (4, 5)],
-                 [(1, 2), (2, 3), (3, 4)]):
+    # the chain, a chain beside a point, and the antichain (the powerset)
+    for less, size in (([(1, 2), (2, 3), (3, 4), (4, 5)], 20),
+                       ([(1, 2), (2, 3), (3, 4)], 16),
+                       ([], 10)):
         lat = ideals_of_poset(5, less)
         system = build_maximal_presentation(lat)
+        assert system.ground.n == size
         assert extension_lattice(system).members == lat.members
         assert is_maximal(system)
         for n in (5, 6, 7):
             uniform = build_uniform_presentation(lat, n)
             assert extension_lattice(uniform).members == lat.members
+
+
+def _block_sum(lat):
+    """Sum of |J| + 1 over the join-irreducibles J."""
+    return sum(j.bit_count() + 1 for j in set(lat.least_containing().values()))
+
+
+def test_build_maximal_every_five_point_lattice():
+    """Each of the 4,231 lattices of labeled 5-point posets is realized
+    by a maximal presentation, also the 101 where a block per member would
+    pass the ground cap."""
+    count = 0
+    for lat in _all_poset_lattices(5):
+        if lat.r < 5:
+            continue
+        count += 1
+        system = build_maximal_presentation(lat)
+        assert system.ground.n == _block_sum(lat) <= 20
+        assert extension_lattice(system).members == lat.members
+        assert is_maximal(system)
+    assert count == 4231
+
+
+def test_build_maximal_chain_sizes():
+    """The r-chain needs r(r+3)/2 elements, the most any r allows: 54 at
+    r = 9, and one past the ground cap at r = 10."""
+    chain9 = ideals_of_poset(9, [(i, i + 1) for i in range(1, 9)])
+    system = build_maximal_presentation(chain9)
+    assert system.ground.n == 9 * 12 // 2 == 54
+    assert extension_lattice(system).members == chain9.members
+    assert is_maximal(system)
+    chain10 = ideals_of_poset(10, [(i, i + 1) for i in range(1, 10)])
+    with pytest.raises(ValueError,
+                       match=f"ground set larger than {MAX_ELEMENTS} elements"):
+        build_maximal_presentation(chain10)
+
+
+@st.composite
+def positive_rank_lattices(draw):
+    """A lattice holding {} and [r], with r >= 1."""
+    lat = draw(st.one_of(poset_ideal_lattices(), extension_lattices()))
+    assume(lat.r)
+    return lat
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_rank_lattices())
+def test_build_maximal_realizes_lattice(lat):
+    """The join-irreducible build presents ``lat``, is maximal, takes
+    exactly sum(|J| + 1) <= r(r+3)/2 elements, and agrees with the block
+    per member wherever that fits in the ground cap."""
+    system = build_maximal_presentation(lat)
+    assert system.ground.n == _block_sum(lat) <= lat.r * (lat.r + 3) // 2
+    assert extension_lattice(system).members == lat.members
+    assert is_maximal(system)
+    if sum(m.bit_count() + 1 for m in lat.members if m) <= MAX_ELEMENTS:
+        per_member = brute_maximal_presentation(lat)
+        assert extension_lattice(per_member).members == lat.members
 
 
 def test_ideals_of_poset():
@@ -207,16 +260,24 @@ CENSUS_R4 = census_sublattices(4, 0)
 @given(st.one_of(poset_ideal_lattices(), extension_lattices(),
                  shifted_ideal_lattices(), st.sampled_from(CENSUS_R4)))
 def test_read_offs_match_pairwise_oracles(lat):
-    """Covers, heights and first occurrences read off the least-containing
-    map, also where the bottom is nonempty or some index is in no member."""
+    """Covers, heights, meet-irreducibles, first occurrences and the
+    uniform build's supports read off the least-containing map, also where
+    the bottom is nonempty or some index is in no member."""
     assert lat.covers() == brute_covers(lat)
     assert lat.heights() == brute_heights(lat)
-    if len(lat.least_containing()) < lat.r:
+    assert irreducibles(lat)[1] == brute_meet_irreducibles(lat)
+    least = lat.least_containing()
+    occ = brute_first_occurrence(lat)
+    for m, part in occ.items():
+        assert part == mask_of(i for i, j in least.items() if j == m)
+    if len(least) < lat.r:
         with pytest.raises(ValueError, match="appears first in no member"):
-            first_occurrence(lat)
-        return
-    occ = first_occurrence(lat)
-    assert list(occ.items()) == list(brute_first_occurrence(lat).items())
+            build_uniform_presentation(lat, lat.r)
+    elif lat.r:
+        system = build_uniform_presentation(lat, lat.r + 1)
+        for m, part in occ.items():
+            for i in bit_indices(part):
+                assert system.support(1 << i) == m
 
 
 def _verdict(validator, members, r):
