@@ -147,10 +147,12 @@ def ideal_lattice(below) -> SubsetLattice:
     """The down-sets of a strict order; ``below[j]`` masks the points under j.
 
     The order must be transitive and acyclic, as ``ideals_of_poset``
-    leaves it.
+    leaves it.  The least down-set holding j is ``below[j]`` with j; the
+    lattice is handed that map, built in O(r).
     """
     points = len(below)
     # A down-set holds no j above an index k it leaves out.
     above = [mask_of(j for j in range(points) if below[j] & (1 << k))
              for k in range(points)]
-    return SubsetLattice(points, frozenset(closed_sets(above)))
+    least = {j: below[j] | 1 << j for j in range(points)}
+    return SubsetLattice(points, frozenset(closed_sets(above)), least)

@@ -181,12 +181,20 @@ class SubsetLattice:
     the theorems they implement, and families read from outside go
     through ``constructions.validate_lattice``.  Construction only checks
     that ``r`` and every member lie in range.
+
+    A producer that already knows each index's least member hands that
+    map in as ``least``, keys ascending, and the lattice keeps it
+    read-only; ``extension_lattice`` and ``ideal_lattice`` do.  That the
+    map is the least one is the producer's promise in the same way
+    closure is; construction only refuses a value that is not a member
+    holding its index, in O(r) lookups.  Without it,
+    ``least_containing()`` computes the map from the members.
     """
 
     r: int
     members: frozenset[int]
-    _least: Mapping[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    least: Mapping[int, int] | None = field(
+        default=None, repr=False, compare=False)
     _sorted: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -197,6 +205,12 @@ class SubsetLattice:
         for m in self.members:
             if m & ~full:
                 raise ValueError("member outside the index range")
+        if self.least is not None:
+            for i, m in self.least.items():
+                if not (i >= 0 and m >> i & 1 and m in self.members):
+                    raise ValueError(f"the least member given for index "
+                                     f"{i + 1} is not a member holding it")
+            object.__setattr__(self, "least", MappingProxyType(self.least))
 
     def __len__(self):
         return len(self.members)
@@ -223,36 +237,42 @@ class SubsetLattice:
         return (1 << self.r) - 1
 
     def least_containing(self) -> Mapping[int, int]:
-        """``least_containing(self.members)``, computed once per lattice.
+        """Index i ↦ the least member holding i, keys ascending.
 
-        Every caller shares the one map, so it is read-only.
+        The map the producer handed in, or ``least_containing(self.members)``
+        computed once, in O(|L|·r).  Every caller shares the one map, so
+        it is read-only.
         """
-        if self._least is None:
-            object.__setattr__(self, "_least",
+        if self.least is None:
+            object.__setattr__(self, "least",
                                MappingProxyType(least_containing(self.members)))
-        return self._least
+        return self.least
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (lower, upper) of the containment order on members.
 
-        Under union closure ``b = a | least[i]`` is the least member
-        holding a and i.  Every i in ``b - a`` has ``a | least[i]``
-        inside b, so b covers a exactly when all of ``b - a`` maps to b:
-        grouping the indices outside a by their b takes O(|L|·r) steps.
+        Let own(J) be the indices whose least member is J.  In a
+        distributive lattice b covers a exactly when b = a | J for a
+        join-irreducible J outside a whose lower join-irreducibles all
+        lie in a, that is, when own(J) misses a and ``J - own(J)`` is in
+        a; then b = a | own(J).  Own sets are disjoint, so sorting the t
+        of them once by ``family_key`` lists each member's covers in
+        ``family_key`` order: O(|L|·t) mask tests.
         """
         mem = self.sorted_members()
         if len(mem) > 4096:
-            raise ValueError("family too large for cover enumeration")
-        least = [(1 << i, m) for i, m in self.least_containing().items()]
+            raise ValueError(f"{len(mem)} members exceed the 4096-member "
+                             "limit of cover enumeration")
+        own: dict[int, int] = {}
+        for i, j in self.least_containing().items():
+            own[j] = own.get(j, 0) | 1 << i
+        # a nonempty bottom owns itself and every member meets it
+        steps = [(o, j ^ o) for j, o in own.items()]
+        steps.sort(key=lambda step: family_key(step[0]))
         out = []
         for a in mem:
-            groups: dict[int, int] = {}
-            for bit, m in least:
-                if not a & bit:
-                    b = a | m
-                    groups[b] = groups.get(b, 0) | bit
-            ups = [b for b, group in groups.items() if group == b ^ a]
-            out.extend((a, b) for b in sorted(ups, key=family_key))
+            out.extend([(a, a | o) for o, rest in steps
+                        if not a & o and a | rest == a])
         return out
 
     def heights(self) -> dict[int, int]:

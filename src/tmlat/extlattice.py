@@ -85,14 +85,24 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
     sets in ascending order and drops one at the first outside index,
     lowest first, whose reach meets it.  Indices that reach only their
     own set are never tested, so on a minimal presentation each of the
-    2^r members costs one mask test.
+    2^r members costs one mask test.  The same reaches give each index
+    i its least closed set, the closure {i} | {k : i in reach[k]}, in
+    O(r^2) bit steps; the lattice is handed that map.
     """
     require_full_rank(system)
     r = system.r
     if r > SCAN_LIMIT:
         raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
     reach = [d.reach for d in matching.deletion_reach(system).sets]
-    return SubsetLattice(r, frozenset(closed_sets(reach)))
+    least = {i: 1 << i for i in range(r)}
+    for k, rk in enumerate(reach):
+        bit = 1 << k
+        rk &= ~bit  # least[k] holds k already
+        while rk:
+            low = rk & -rk
+            least[low.bit_length() - 1] |= bit
+            rk ^= low
+    return SubsetLattice(r, frozenset(closed_sets(reach)), least)
 
 
 def tight_supports(system: SetSystem) -> SubsetLattice:
@@ -230,15 +240,33 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
                             pairs)
 
 
+def _index_text(m: int, text: dict[int, str], digits: list[str]) -> str:
+    """The indices of ``m``, comma-separated, as ``digits`` writes them.
+
+    ``text`` memoizes each index set's text, which extends the text of
+    the set without its lowest index.
+    """
+    if m not in text:
+        rest = m & (m - 1)
+        low = digits[(m ^ rest).bit_length() - 1]
+        text[m] = f"{low},{_index_text(rest, text, digits)}" if rest else low
+    return text[m]
+
+
 def hasse_dot(lat: SubsetLattice) -> str:
     """DOT text of the Hasse diagram, byte-stable across runs.
 
     Nodes carry set labels, edges are cover pairs only, and members of
-    equal height share a rank group.
+    equal height share a rank group.  Covers and heights read off the
+    least-containing map (``SubsetLattice.covers``, ``heights``).  Each
+    label's index list extends the memoized list of the set without its
+    lowest index, so each label costs one concatenation.
     """
+    covers = lat.covers()  # refuses an oversized family before any label
     mem = lat.sorted_members()
-    name = {m: '"{' + ",".join(str(i + 1) for i in bit_indices(m)) + '}"'
-            for m in mem}
+    digits = [str(i + 1) for i in range(lat.r)]
+    text = {0: ""}
+    name = {m: f'"{{{_index_text(m, text, digits)}}}"' for m in mem}
 
     heights = lat.heights()
     levels: dict[int, list[int]] = {}
@@ -251,7 +279,7 @@ def hasse_dot(lat: SubsetLattice) -> str:
     for h in sorted(levels):
         group = "; ".join(name[m] for m in levels[h])
         lines.append(f"  {{ rank=same; {group}; }}")
-    for lo, hi in lat.covers():
+    for lo, hi in covers:
         lines.append(f"  {name[lo]} -> {name[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,8 +8,9 @@ those indices.  Family closure is a plain fixpoint over all pairs,
 the census table closes each generator family from the one without
 its lowest member, and the lattice read-offs (covers, heights, first
 occurrences, meet-irreducibles) compare members pairwise or
-triplewise.  The maximal presentation of a lattice gives a block to
-every nonempty member, not only to each join-irreducible.  The moves
+triplewise, and the Hasse diagram's DOT text is written from them.
+The maximal presentation of a lattice gives a block to every nonempty
+member, not only to each join-irreducible.  The moves
 between presentations re-match every basis after each single change,
 or re-match the deletion of a set without each outside element.  The
 verify suites' inputs and checks come from the walks they replaced:
@@ -331,6 +332,22 @@ def brute_heights(lat):
         below = [up[c] for c in lat.members if c != m and c & m == c]
         up[m] = 1 + max(below) if below else 0
     return up
+
+
+def brute_hasse_dot(lat) -> str:
+    """The Hasse diagram's DOT text from labels by ``bit_indices``, edges
+    from ``brute_covers`` and rank groups from ``brute_heights``."""
+    mem = lat.sorted_members()
+    name = {m: '"{' + ",".join(str(i + 1) for i in bit_indices(m)) + '}"'
+            for m in mem}
+    heights = brute_heights(lat)
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines.extend(f"  {name[m]};" for m in mem)
+    for h in sorted(set(heights.values())):
+        group = "; ".join(name[m] for m in mem if heights[m] == h)
+        lines.append(f"  {{ rank=same; {group}; }}")
+    lines.extend(f"  {name[lo]} -> {name[hi]};" for lo, hi in brute_covers(lat))
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def brute_first_occurrence(lat):

@@ -174,6 +174,17 @@ def test_construct_maximal_ground_cap(capsys, tmp_path):
             assert len(json.loads(out)["ground"]) == 54
 
 
+def test_cover_cap_names_the_member_count_and_the_limit(capsys, tmp_path):
+    names = [f"e{i}" for i in range(13)]
+    singletons = tmp_path / "singletons13.json"
+    singletons.write_text(json.dumps({"ground": names,
+                                      "sets": [[e] for e in names]}))
+    code, out, err = run(capsys, "lattice", "--dot", str(singletons))
+    assert (code, out) == (3, "")
+    assert err == ("error: 8192 members exceed the 4096-member limit of "
+                   "cover enumeration\n")
+
+
 def test_ideals(capsys):
     code, out, _ = run(capsys, "ideals", path("poset_vee.json"))
     assert code == 0

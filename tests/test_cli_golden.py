@@ -40,12 +40,15 @@ COMMAND_NAMES = ["lattice", "sigma", "extend", "maximalize", "minimal", "rank",
                  "supports", "t-lattice", "intersect", "irreducibles",
                  "construct-maximal", "construct-uniform", "ideals", "verify"]
 
+# Calls that read a lattice file, which validation checks with the
+# least-containing map computed from its members.
+LATTICE_FILE_CALLS = [argv for f in LATTICES
+                      for argv in (["irreducibles", f], ["construct-maximal", f],
+                                   ["construct-uniform", f, "--n", "7"])]
 CALLS = (
     [["lattice", f] for f in PRESENTATIONS]
     + [["lattice", "--dot", f] for f in PRESENTATIONS]
-    + [argv for f in LATTICES
-       for argv in (["irreducibles", f], ["construct-maximal", f],
-                    ["construct-uniform", f, "--n", "7"])]
+    + LATTICE_FILE_CALLS
     + [["ideals", "poset_vee.json"], ["ideals", "--dot", "poset_vee.json"]]
     + [["intersect", a, b] for a, b in INTERSECT_PAIRS]
     + [["t-lattice", f] for f in PRESENTATIONS + PAIR18]
@@ -153,7 +156,9 @@ def test_cli_output_matches_golden(monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_cli_builds_at_most_one_least_containing_map(monkeypatch, argv):
-    """Validation, covers, heights and first occurrences share one map."""
+    """Only a lattice file's validation computes the least-containing map
+    from the members, and its read-offs share that one map; the lattices
+    that ``lattice`` and ``ideals`` build are handed theirs."""
     calls = []
     original = core.least_containing
 
@@ -164,4 +169,4 @@ def test_cli_builds_at_most_one_least_containing_map(monkeypatch, argv):
     monkeypatch.setattr(core, "least_containing", counted)
     monkeypatch.setenv("COLUMNS", "80")
     call(argv)
-    assert len(calls) <= 1
+    assert len(calls) == (argv in LATTICE_FILE_CALLS)

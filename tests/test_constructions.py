@@ -1,22 +1,22 @@
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tmlat import matching
+from tmlat import core, matching
 from tmlat.constructions import (build_maximal_presentation,
                                  build_uniform_presentation, ideals_of_poset,
                                  validate_lattice)
 from tmlat.core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
                         bit_indices, mask_of)
-from tmlat.extlattice import extension_lattice, irreducibles
+from tmlat.extlattice import extension_lattice, hasse_dot, irreducibles
 from tmlat.presentations import is_maximal
 from tmlat.verify import _all_poset_lattices, census_sublattices
 
-from .oracles import (brute_covers, brute_first_occurrence, brute_heights,
-                      brute_maximal_presentation, brute_meet_irreducibles,
-                      brute_validate_lattice)
+from .oracles import (brute_covers, brute_first_occurrence, brute_hasse_dot,
+                      brute_heights, brute_maximal_presentation,
+                      brute_meet_irreducibles, brute_validate_lattice)
 
 SAMPLE_R6 = frozenset([0, 0b000001, 0b000111, 0b011001, 0b011111, 0b111111])
 
@@ -225,9 +225,10 @@ def poset_ideal_lattices(draw, max_points=9):
 
 
 @st.composite
-def extension_lattices(draw):
-    """Closed index sets of a random full-rank presentation with r <= 8."""
-    r = draw(st.integers(1, 8))
+def extension_lattices(draw, max_r=8):
+    """Closed index sets of a random full-rank presentation with
+    r <= ``max_r`` <= 10."""
+    r = draw(st.integers(1, max_r))
     n = draw(st.integers(r, 10))
     diagonal = draw(st.permutations(range(n)))[:r]
     sets = [draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal]
@@ -256,9 +257,21 @@ def shifted_ideal_lattices(draw):
 CENSUS_R4 = census_sublattices(4, 0)
 
 
+# Lattices with their least map handed in, computed from the members, or
+# spread over indices that lie below or outside every member.
+READ_OFF_LATTICES = st.one_of(poset_ideal_lattices(), extension_lattices(),
+                              shifted_ideal_lattices(),
+                              st.sampled_from(CENSUS_R4))
+# {2,3} is the least member of two indices; a nonempty bottom {2} under
+# an index, 4, in no member.
+OWNS_TWO = SubsetLattice(6, SAMPLE_R6)
+SHIFTED = SubsetLattice(4, frozenset([0b0010, 0b0011, 0b0110, 0b0111]))
+
+
 @settings(max_examples=250, deadline=None)
-@given(st.one_of(poset_ideal_lattices(), extension_lattices(),
-                 shifted_ideal_lattices(), st.sampled_from(CENSUS_R4)))
+@given(READ_OFF_LATTICES)
+@example(OWNS_TWO)
+@example(SHIFTED)
 def test_read_offs_match_pairwise_oracles(lat):
     """Covers, heights, meet-irreducibles, first occurrences and the
     uniform build's supports read off the least-containing map, also where
@@ -278,6 +291,39 @@ def test_read_offs_match_pairwise_oracles(lat):
         for m, part in occ.items():
             for i in bit_indices(part):
                 assert system.support(1 << i) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(READ_OFF_LATTICES)
+@example(OWNS_TWO)
+@example(SHIFTED)
+def test_hasse_dot_matches_brute_rendering(lat):
+    assert hasse_dot(lat) == brute_hasse_dot(lat)
+
+
+def test_hasse_dot_of_empty_and_one_member_families():
+    head = "digraph lattice {\n  rankdir=BT;\n  node [shape=plaintext];\n"
+    empty = SubsetLattice(3, frozenset())
+    assert hasse_dot(empty) == brute_hasse_dot(empty) == head + "}\n"
+    single = SubsetLattice(3, frozenset([0b101]))
+    assert hasse_dot(single) == brute_hasse_dot(single) == (
+        head + '  "{1,3}";\n  { rank=same; "{1,3}"; }\n}\n')
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_lattices(max_r=9))
+def test_extension_lattice_hands_in_the_least_map(lat):
+    assert lat.least is not None  # handed in: no call has computed it yet
+    assert dict(lat.least_containing()) == core.least_containing(lat.members)
+
+
+def test_ideal_lattice_hands_in_the_least_map():
+    """Every labeled poset lattice on at most five points."""
+    lattices = list(_all_poset_lattices(5))
+    assert len(lattices) == 4474
+    for lat in lattices:
+        assert lat.least is not None
+        assert dict(lat.least_containing()) == core.least_containing(lat.members)
 
 
 def _verdict(validator, members, r):

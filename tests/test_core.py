@@ -232,6 +232,22 @@ def test_covers_and_heights():
     assert empty.least_containing() == {}
 
 
+def test_handed_in_least_map_is_checked_and_not_compared():
+    members = frozenset([0b000, 0b001, 0b011, 0b111])
+    given_map = {0: 0b001, 1: 0b011, 2: 0b111}
+    lat = SubsetLattice(3, members, given_map)
+    assert lat.least_containing() == given_map
+    with pytest.raises(TypeError):
+        lat.least_containing()[0] = 0
+    plain = SubsetLattice(3, members)
+    assert lat == plain and hash(lat) == hash(plain) and repr(lat) == repr(plain)
+    # the value for index 3 misses it; the value for index 3 is no member
+    for bad in ({0: 0b001, 1: 0b011, 2: 0b011}, {0: 0b001, 1: 0b011, 2: 0b101}):
+        with pytest.raises(ValueError, match="^the least member given for "
+                                             "index 3 is not a member holding it$"):
+            SubsetLattice(3, members, bad)
+
+
 def test_least_containing_is_computed_once_and_shared_read_only():
     lat = SubsetLattice(3, frozenset([0b000, 0b001, 0b011, 0b111]))
     least = lat.least_containing()
