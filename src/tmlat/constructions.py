@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
-                   bit_indices, closed_sets, family_key, index_list, mask_of)
+                   bit_indices, family_key, index_list, mask_of)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -117,8 +117,9 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
 def ideals_of_poset(points: int, less) -> SubsetLattice:
     """The lattice of order ideals (down-closed sets) of a finite poset.
 
-    ``less`` lists strict 1-based pairs (i, j) meaning i < j; the
-    transitive closure is taken, and cycles are rejected.
+    ``less`` lists strict 1-based pairs (i, j) meaning i < j, and cycles
+    are rejected.  The transitive closure is Warshall's: for each point
+    k in turn, every j with k below it takes in what lies below k.
     """
     if points < 0 or points > 16:
         raise ValueError("poset size out of range")
@@ -127,16 +128,10 @@ def ideals_of_poset(points: int, less) -> SubsetLattice:
         if not (1 <= i <= points and 1 <= j <= points) or i == j:
             raise ValueError(f"bad pair ({i}, {j})")
         below[j - 1] |= 1 << (i - 1)
-    changed = True
-    while changed:
-        changed = False
+    for k in range(points):
         for j in range(points):
-            merged = below[j]
-            for i in bit_indices(below[j]):
-                merged |= below[i]
-            if merged != below[j]:
-                below[j] = merged
-                changed = True
+            if below[j] >> k & 1:
+                below[j] |= below[k]
     for j in range(points):
         if below[j] & (1 << j):
             raise ValueError("relation is not a partial order (cycle)")
@@ -147,12 +142,8 @@ def ideal_lattice(below) -> SubsetLattice:
     """The down-sets of a strict order; ``below[j]`` masks the points under j.
 
     The order must be transitive and acyclic, as ``ideals_of_poset``
-    leaves it.  The least down-set holding j is ``below[j]`` with j; the
-    lattice is handed that map, built in O(r).
+    leaves it.  A down-set holding j holds ``below[j]``, so the least
+    one holding j is ``below[j]`` with j, and the down-sets are those of
+    that least map (``SubsetLattice.from_least``).
     """
-    points = len(below)
-    # A down-set holds no j above an index k it leaves out.
-    above = [mask_of(j for j in range(points) if below[j] & (1 << k))
-             for k in range(points)]
-    least = {j: below[j] | 1 << j for j in range(points)}
-    return SubsetLattice(points, frozenset(closed_sets(above)), least)
+    return SubsetLattice.from_least([b | 1 << j for j, b in enumerate(below)])

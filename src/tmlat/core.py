@@ -40,27 +40,27 @@ def family_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-def closed_sets(reach) -> list[int]:
-    """The subsets I of ``[r]`` with ``I & reach[k] == 0`` for every k not in I.
+def closed_sets(least) -> list[int]:
+    """The subsets I of ``[r]`` with ``least[i]`` inside I for every i in I.
 
-    Here r = len(reach); all 2^r subsets are walked in ascending order.
-    An index k with ``reach[k]`` inside {k} excludes no I that leaves k
-    out, so only the other, active, indices are tested: for each I the
-    active indices outside I, lowest first, up to the first k whose
-    reach meets I.  With no active index (a minimal presentation, an
-    antichain) each of the 2^r members costs one mask test.
+    Here r = len(least) and ``least[i]`` is σ({i}), the least closed set
+    holding i; all 2^r subsets are walked in ascending order.  An index
+    i with ``least[i] == {i}`` excludes no I, so only the other, active,
+    indices are tested: for each I the active indices in I, lowest
+    first, up to the first i whose ``least[i]`` leaves I.  With no
+    active index (a minimal presentation, an antichain) each of the 2^r
+    members costs one mask test.
     """
-    r = len(reach)
     active = 0
-    for k, rk in enumerate(reach):
-        if rk & ~(1 << k):
-            active |= 1 << k
+    for i, s in enumerate(least):
+        if s != 1 << i:
+            active |= 1 << i
     members = []
-    for iset in range(1 << r):
-        rest = active & ~iset
+    for iset in range(1 << len(least)):
+        rest = active & iset
         while rest:
             low = rest & -rest
-            if iset & reach[low.bit_length() - 1]:
+            if least[low.bit_length() - 1] | iset != iset:
                 break
             rest ^= low
         else:
@@ -182,12 +182,10 @@ class SubsetLattice:
     through ``constructions.validate_lattice``.  Construction only checks
     that ``r`` and every member lie in range.
 
-    A producer that already knows each index's least member hands that
-    map in as ``least``, keys ascending, and the lattice keeps it
-    read-only; ``extension_lattice`` and ``ideal_lattice`` do.  That the
-    map is the least one is the producer's promise in the same way
-    closure is; construction only refuses a value that is not a member
-    holding its index, in O(r) lookups.  Without it,
+    ``from_least`` builds the lattice from each index's least member
+    and hands that map in as ``least``, keys ascending; the lattice
+    keeps it read-only.  Construction refuses a value that is not a
+    member holding its index, in O(r) lookups.  Without it,
     ``least_containing()`` computes the map from the members.
     """
 
@@ -212,6 +210,20 @@ class SubsetLattice:
                                      f"{i + 1} is not a member holding it")
             object.__setattr__(self, "least", MappingProxyType(self.least))
 
+    @classmethod
+    def from_least(cls, least) -> SubsetLattice:
+        """The down-sets of the least map ``least``: index i ↦ σ({i}).
+
+        A closure on the subsets of [r] is fixed by the sets σ({i}), since
+        σ(I) is the union of the σ({i}) for i in I; its closed sets are
+        the I that hold ``least[i]`` for each i in I (Birkhoff), which
+        ``closed_sets`` scans for.  The map is handed to the lattice.  A
+        map that is not transitive has some ``least[i]`` that is not
+        closed, so the constructor's check refuses it.
+        """
+        return cls(len(least), frozenset(closed_sets(least)),
+                   dict(enumerate(least)))
+
     def __len__(self):
         return len(self.members)
 
@@ -232,15 +244,11 @@ class SubsetLattice:
                 sorted(sorted(self.members), key=int.bit_count)))
         return self._sorted
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.r) - 1
-
     def least_containing(self) -> Mapping[int, int]:
         """Index i ↦ the least member holding i, keys ascending.
 
-        The map the producer handed in, or ``least_containing(self.members)``
-        computed once, in O(|L|·r).  Every caller shares the one map, so
+        The map ``from_least`` handed in, or
+        ``least_containing(self.members)`` computed once, in O(|L|·r).  Every caller shares the one map, so
         it is read-only.
         """
         if self.least is None:

@@ -7,10 +7,10 @@ and those closed sets form a distributive lattice (join is union, meet
 is intersection) isomorphic to the weak order on the extensions.
 
 Two independent constructions of that lattice are kept side by side:
-a scan of all index sets in ascending order, which tests each only
-against the outside indices whose deletion reach holds another index,
-and a generator route from supports of independent sets closed under
-intersection.  Each serves as the oracle for the other.
+the down-sets of the least map i ↦ σ({i}), read off the deletion
+reaches and scanned by ``SubsetLattice.from_least``, and a generator
+route from supports of independent sets closed under intersection.
+Each serves as the oracle for the other.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import count
 
 from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
-                   closed_sets, family_key, intersection_closure)
+                   family_key, intersection_closure)
 from .matroid import Matroid
 from .presentations import maximalize, require_full_rank
 
@@ -78,31 +78,28 @@ def is_index_closed(system: SetSystem, iset: int) -> bool:
 
 
 def extension_lattice(system: SetSystem) -> SubsetLattice:
-    """All closed index sets, from one scan over the whole powerset.
+    """All closed index sets: the down-sets of the least map.
 
     Index k's deletion reach holds the indices that put k in the closure
-    of any index set meeting them.  ``core.closed_sets`` walks all 2^r index
-    sets in ascending order and drops one at the first outside index,
-    lowest first, whose reach meets it.  Indices that reach only their
-    own set are never tested, so on a minimal presentation each of the
-    2^r members costs one mask test.  The same reaches give each index
-    i its least closed set, the closure {i} | {k : i in reach[k]}, in
-    O(r^2) bit steps; the lattice is handed that map.
+    of any index set meeting them, so σ({i}) = {i} | {k : i in reach[k]},
+    read off the reaches in O(r^2) bit steps.  σ(I) is the union of the
+    σ({i}) for i in I, so I is closed exactly when it holds σ({i}) for
+    each of its indices; ``SubsetLattice.from_least`` walks all 2^r
+    index sets for those, and hands the lattice the map.
     """
     require_full_rank(system)
     r = system.r
     if r > SCAN_LIMIT:
         raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
-    reach = [d.reach for d in matching.deletion_reach(system).sets]
-    least = {i: 1 << i for i in range(r)}
-    for k, rk in enumerate(reach):
+    least = [1 << i for i in range(r)]
+    for k, d in enumerate(matching.deletion_reach(system).sets):
         bit = 1 << k
-        rk &= ~bit  # least[k] holds k already
+        rk = d.reach & ~bit  # least[k] holds k already
         while rk:
             low = rk & -rk
             least[low.bit_length() - 1] |= bit
             rk ^= low
-    return SubsetLattice(r, frozenset(closed_sets(reach)), least)
+    return SubsetLattice.from_least(least)
 
 
 def tight_supports(system: SetSystem) -> SubsetLattice:

@@ -159,15 +159,12 @@ def is_independent(system: SetSystem, x_mask: int) -> bool:
 
 
 def reach_mask(system: SetSystem, owner: dict[int, int],
-               sup: tuple[int, ...] | None = None) -> int:
+               sup: tuple[int, ...]) -> int:
     """Set indices from which an alternating path reaches a free set.
 
     A fresh element with adjacency ``adj`` augments ``owner`` exactly when
-    ``adj`` meets this mask.  ``sup`` defaults to
-    ``element_supports(system)``.
+    ``adj`` meets this mask.  ``sup`` is ``element_supports(system)``.
     """
-    if sup is None:
-        sup = element_supports(system)
     good = system.full_index_mask
     for j in owner:
         good ^= 1 << j
@@ -182,18 +179,16 @@ def reach_mask(system: SetSystem, owner: dict[int, int],
     return good
 
 
-def coloop_mask(system: SetSystem, x_mask: int, owner: dict[int, int],
-                sup: tuple[int, ...] | None = None) -> int:
+def coloop_mask(x_mask: int, owner: dict[int, int],
+                sup: tuple[int, ...]) -> int:
     """Elements of ``x_mask`` in every basis of M|x_mask: its coloops.
 
-    ``owner`` is a maximum matching of ``x_mask``.  An element misses some
-    maximum matching exactly when it is unmatched or an unmatched element
-    reaches it by an alternating path: to a set along a non-matching edge,
-    then on to the element matched to that set.  ``sup`` defaults to
-    ``element_supports(system)``.
+    ``owner`` is a maximum matching of ``x_mask`` and ``sup`` holds the
+    element supports.  An element misses some maximum matching exactly
+    when it is unmatched or an unmatched element reaches it by an
+    alternating path: to a set along a non-matching edge, then on to the
+    element matched to that set.
     """
-    if sup is None:
-        sup = element_supports(system)
     matched = 0
     for e in owner.values():
         matched |= 1 << e
@@ -256,7 +251,7 @@ def deletion_pass(system: SetSystem,
     whole = _max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
     return Deletions(len(whole), tuple(
         Deletion(len(owner), reach_mask(system, owner, sup),
-                 coloop_mask(system, full & ~a, owner, sup),
+                 coloop_mask(full & ~a, owner, sup),
                  MappingProxyType(owner))
         for a, owner in zip(system.sets, owners)), MappingProxyType(whole))
 

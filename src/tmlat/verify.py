@@ -50,50 +50,45 @@ class CatalogLattice:
     expected_size: int
 
 
-def _interval_hits(x: int, low: int, high_out: int) -> bool:
-    """Is x in the interval [low, complement of high_out]?"""
-    return x & low == low and x & high_out == 0
-
-
 def catalog_lattice(kind: str, r: int, i: int | None = None) -> CatalogLattice:
     """Build a catalog family: the powerset minus a union of intervals.
 
-    Kinds: "implication_chain" removes the intervals forcing index 1 to
-    drag along 2, then {1,2} to drag 3, and so on up to i+1;
-    "exclusion_chain" is its image under complementation; and
-    "two_implications" removes two disjoint single implications (needs
-    r >= 4).  ``expected_size`` is the closed formula for the size;
-    ``check_classification`` compares it with the members built here.
+    Removing the interval of the sets that hold P and miss k removes the
+    sets breaking the implication "P forces k".  So each kind is a least
+    map that sends every index to itself except:
+
+    - "implication_chain" removes the intervals forcing index 1 to drag
+      along 2, then {1,2} to drag 3, and so on up to i+1.  A set holding
+      1 then holds 2, so {1,2}, so 3, ...: σ({1}) = {1..i+1}.
+    - "exclusion_chain" is its image under complementation: it removes
+      the sets that hold k and miss all of 1..k-1, for k = 2..i+1.  A
+      set that holds such a k but not 1 has its lowest index in 2..k,
+      and is removed by that index's interval: σ({k}) = {1, k}.
+    - "two_implications" removes two disjoint single implications (needs
+      r >= 4): σ({1}) = {1, 2} and σ({3}) = {3, 4}.
+
+    ``expected_size`` is the closed formula for the size;
+    ``check_classification`` compares it with the members scanned here.
     """
+    least = [1 << k for k in range(r)]
     if kind in ("implication_chain", "exclusion_chain"):
         if i is None or not 1 <= i < r:
             raise ValueError("chain kinds need 1 <= i < r")
-        members = []
-        for x in range(1 << r):
-            hit = False
-            for j in range(1, i + 1):
-                prefix = (1 << j) - 1
-                nxt = 1 << j
-                if kind == "implication_chain":
-                    hit = _interval_hits(x, prefix, nxt)
-                else:
-                    hit = _interval_hits(x, nxt, prefix)
-                if hit:
-                    break
-            if not hit:
-                members.append(x)
+        if kind == "implication_chain":
+            least[0] = (1 << (i + 1)) - 1
+        else:
+            for k in range(1, i + 1):
+                least[k] |= 1
         expect = (1 << (r - 1)) + (1 << (r - i - 1))
     elif kind == "two_implications":
         if r < 4:
             raise ValueError("two_implications needs r >= 4")
-        members = [x for x in range(1 << r)
-                   if not _interval_hits(x, 0b0001, 0b0010)
-                   and not _interval_hits(x, 0b0100, 0b1000)]
+        least[0], least[2] = 0b0011, 0b1100
         expect = 9 << (r - 4)
         i = None
     else:
         raise ValueError(f"unknown catalog kind {kind!r}")
-    return CatalogLattice(kind, r, i, SubsetLattice(r, frozenset(members)), expect)
+    return CatalogLattice(kind, r, i, SubsetLattice.from_least(least), expect)
 
 
 def catalog(r: int) -> list[CatalogLattice]:

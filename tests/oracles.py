@@ -4,7 +4,9 @@ These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
 counting condition on every subset.  The closed index sets are found
 by testing every outside index of every index set, from a list of
-those indices.  Family closure is a plain fixpoint over all pairs,
+those indices.  The catalog lattices are the powerset with each
+interval tested on every subset, and an order's transitive closure is
+a fixpoint over its points.  Family closure is a plain fixpoint over all pairs,
 the census table closes each generator family from the one without
 its lowest member, and the lattice read-offs (covers, heights, first
 occurrences, meet-irreducibles) compare members pairwise or
@@ -269,6 +271,60 @@ def brute_closed_sets(reach) -> list[int]:
         if closed:
             members.append(iset)
     return members
+
+
+def _interval_hits(x: int, low: int, high_out: int) -> bool:
+    """Is x in the interval [low, complement of high_out]?"""
+    return x & low == low and x & high_out == 0
+
+
+def brute_catalog_members(kind: str, r: int, i: int | None = None) -> list[int]:
+    """The members of a catalog family: the powerset minus a union of
+    intervals, each tested on every subset."""
+    if kind in ("implication_chain", "exclusion_chain"):
+        if i is None or not 1 <= i < r:
+            raise ValueError("chain kinds need 1 <= i < r")
+        members = []
+        for x in range(1 << r):
+            hit = False
+            for j in range(1, i + 1):
+                prefix = (1 << j) - 1
+                nxt = 1 << j
+                if kind == "implication_chain":
+                    hit = _interval_hits(x, prefix, nxt)
+                else:
+                    hit = _interval_hits(x, nxt, prefix)
+                if hit:
+                    break
+            if not hit:
+                members.append(x)
+    elif kind == "two_implications":
+        if r < 4:
+            raise ValueError("two_implications needs r >= 4")
+        members = [x for x in range(1 << r)
+                   if not _interval_hits(x, 0b0001, 0b0010)
+                   and not _interval_hits(x, 0b0100, 0b1000)]
+    else:
+        raise ValueError(f"unknown catalog kind {kind!r}")
+    return members
+
+
+def brute_transitive_closure(below) -> list[int]:
+    """The transitive closure of ``below[j]``, the points under j, by
+    merging in what lies under each point until nothing changes."""
+    below = list(below)
+    points = len(below)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(points):
+            merged = below[j]
+            for i in bit_indices(below[j]):
+                merged |= below[i]
+            if merged != below[j]:
+                below[j] = merged
+                changed = True
+    return below
 
 
 def union_intersection_closure(members, r: int) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -16,7 +17,8 @@ from tmlat.verify import _all_poset_lattices, census_sublattices
 
 from .oracles import (brute_covers, brute_first_occurrence, brute_hasse_dot,
                       brute_heights, brute_maximal_presentation,
-                      brute_meet_irreducibles, brute_validate_lattice)
+                      brute_meet_irreducibles, brute_transitive_closure,
+                      brute_validate_lattice)
 
 SAMPLE_R6 = frozenset([0, 0b000001, 0b000111, 0b011001, 0b011111, 0b111111])
 
@@ -213,6 +215,35 @@ def test_ideals_transitive_input():
     assert a.members == b.members
 
 
+def test_ideals_of_poset_match_the_fixpoint_closure():
+    """Seeded relations, cycles included: the same lattice, or the same
+    error."""
+    rng = random.Random(23)
+    cycles = 0
+    for _ in range(600):
+        points = rng.randint(0, 7)
+        pairs = [(i, j) for i in range(1, points + 1)
+                 for j in range(1, points + 1) if i != j]
+        less = rng.sample(pairs, min(len(pairs), rng.randint(0, 6)))
+        below = [0] * points
+        for i, j in less:
+            below[j - 1] |= 1 << (i - 1)
+        below = brute_transitive_closure(below)
+        if any(b >> j & 1 for j, b in enumerate(below)):
+            cycles += 1
+            with pytest.raises(ValueError, match=r"^relation is not a "
+                                                 r"partial order \(cycle\)$"):
+                ideals_of_poset(points, less)
+            continue
+        lat = ideals_of_poset(points, less)
+        assert lat.members == frozenset(
+            m for m in range(1 << points)
+            if all(below[j] & ~m == 0 for j in bit_indices(m)))
+        assert dict(lat.least_containing()) == {
+            j: b | 1 << j for j, b in enumerate(below)}
+    assert 50 < cycles < 550
+
+
 @st.composite
 def poset_ideal_lattices(draw, max_points=9):
     """Order ideals of a random poset on at most ``max_points`` points."""
@@ -339,7 +370,7 @@ def _verdict(validator, members, r):
 def flipped_ideal_lattices(draw):
     """An ideal lattice with up to two index sets added or taken away."""
     lat = draw(poset_ideal_lattices())
-    flips = draw(st.lists(st.integers(0, lat.full_mask), max_size=2))
+    flips = draw(st.lists(st.integers(0, (1 << lat.r) - 1), max_size=2))
     return lat.members.symmetric_difference(flips), lat.r
 
 

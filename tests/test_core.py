@@ -196,16 +196,22 @@ def reach_vectors(draw):
 @settings(max_examples=400, deadline=None)
 @given(reach_vectors())
 def test_closed_sets_match_the_full_scan(reach):
-    got = closed_sets(reach)
+    """I misses reach[k] for every k outside I exactly when I holds
+    σ[i] = {i} | {k : i in reach[k]} for every i in I."""
+    least = [1 << i for i in range(len(reach))]
+    for k, rk in enumerate(reach):
+        for i in bit_indices(rk):
+            least[i] |= 1 << k
+    got = closed_sets(least)
     assert got == brute_closed_sets(reach)
     if all(rk & ~(1 << k) == 0 for k, rk in enumerate(reach)):
         assert got == list(range(1 << len(reach)))
 
 
 def test_closed_sets_read_no_reach_of_an_inactive_index():
-    """Indices whose reach is only themselves are never tested."""
+    """Indices whose least set is only themselves are never tested."""
 
-    class CountingReach(list):
+    class CountingLeast(list):
         reads = 0
 
         def __getitem__(self, k):
@@ -213,9 +219,9 @@ def test_closed_sets_read_no_reach_of_an_inactive_index():
             return super().__getitem__(k)
 
     r = 12
-    reach = CountingReach(1 << k for k in range(r))
-    assert closed_sets(reach) == list(range(1 << r))
-    assert reach.reads <= r
+    least = CountingLeast(1 << k for k in range(r))
+    assert closed_sets(least) == list(range(1 << r))
+    assert least.reads <= r
 
 
 def test_intersection_closure():
@@ -248,6 +254,16 @@ def test_handed_in_least_map_is_checked_and_not_compared():
             SubsetLattice(3, members, bad)
 
 
+def test_from_least_refuses_a_map_that_is_not_transitive():
+    # index 1 drags in 2, whose least set drags in 3: {1, 2} is not closed
+    with pytest.raises(ValueError, match="^the least member given for "
+                                         "index 1 is not a member holding it$"):
+        SubsetLattice.from_least([0b011, 0b110, 0b100])
+    lat = SubsetLattice.from_least([0b111, 0b110, 0b100])
+    assert sorted(lat.members) == [0b000, 0b100, 0b110, 0b111]
+    assert lat.least_containing() == {0: 0b111, 1: 0b110, 2: 0b100}
+
+
 def test_least_containing_is_computed_once_and_shared_read_only():
     lat = SubsetLattice(3, frozenset([0b000, 0b001, 0b011, 0b111]))
     least = lat.least_containing()
@@ -278,6 +294,43 @@ def test_no_bare_assert_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _scoped_nodes(tree):
+    """Every node of ``tree`` with the dotted name of the classes and
+    functions it lies in."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def test_from_least_is_the_one_builder_from_a_least_map():
+    """``closed_sets`` is read only by ``SubsetLattice.from_least``, and no
+    other ``SubsetLattice(...)`` call hands in a least map."""
+    package = Path(__file__).resolve().parents[1] / "src" / "tmlat"
+    scans, handed = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, scope in _scoped_nodes(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "closed_sets":
+                scans.append(f"{path.name}:{scope}")
+            func = node.func if isinstance(node, ast.Call) else None
+            if ((isinstance(func, ast.Name) and func.id == "SubsetLattice"
+                 or isinstance(func, ast.Attribute)
+                 and func.attr == "SubsetLattice")
+                    and (len(node.args) > 2
+                         or any(isinstance(a, ast.Starred) for a in node.args)
+                         or {k.arg for k in node.keywords} - {"r", "members"})):
+                handed.append(f"{path.name}:{node.lineno}")
+    assert scans == ["core.py:SubsetLattice.from_least"]
+    assert handed == []
 
 
 # The functions and methods of the package that nothing in it calls, each

@@ -82,9 +82,10 @@ def test_deterministic_matching(u34_first):
 def test_reach_mask_predicts_augmentation(threelines_maximal):
     system = threelines_maximal
     full = system.ground.full_mask
+    sup = matching.element_supports(system)
     for k, a in enumerate(system.sets):
         owner = matching._max_matching_owner(system, full & ~a)
-        reach = matching.reach_mask(system, owner)
+        reach = matching.reach_mask(system, owner, sup)
         base = len(owner)
         for adjacency in range(1 << system.r):
             assert bool(adjacency & reach) == \

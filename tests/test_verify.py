@@ -24,9 +24,9 @@ from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           sharp_chain_presentation, sharp_common_pair)
 from tmlat.verify import _all_poset_lattices, _is_uniform
 
-from .oracles import (brute_closed_family_table, brute_is_uniform,
-                      brute_maximal_sublattices, brute_poset_lattices,
-                      union_intersection_closure)
+from .oracles import (brute_catalog_members, brute_closed_family_table,
+                      brute_is_uniform, brute_maximal_sublattices,
+                      brute_poset_lattices, union_intersection_closure)
 
 
 def test_catalog_sizes():
@@ -45,6 +45,13 @@ def test_catalog_sizes():
     for r in (3, 4, 5):
         for c in catalog(r):
             assert len(c.lattice) == c.expected_size
+
+
+def test_catalog_least_maps_remove_the_intervals():
+    for r in range(2, 9):
+        for c in catalog(r):
+            assert sorted(c.lattice.members) == \
+                brute_catalog_members(c.kind, r, c.i)
 
 
 def test_check_classification_fails_a_wrong_catalog_size(monkeypatch):
