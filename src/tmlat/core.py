@@ -198,7 +198,7 @@ class SubsetLattice:
 
     def __post_init__(self):
         if self.r < 0 or self.r > MAX_SETS:
-            raise ValueError("bad index range")
+            raise ValueError(f"r = {self.r} lies outside 0..{MAX_SETS}")
         full = (1 << self.r) - 1
         for m in self.members:
             if m & ~full:
@@ -303,22 +303,6 @@ class SubsetLattice:
                 seen.add(m)
                 reps |= 1 << i
         return {m: (m & reps).bit_count() for m in mem}
-
-
-def intersection_closure(masks, r: int) -> frozenset[int]:
-    """Close a family of index sets under pairwise intersection."""
-    fam = set(masks)
-    frontier = list(fam)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(fam):
-                c = a & b
-                if c not in fam:
-                    fam.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(fam)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ is intersection) isomorphic to the weak order on the extensions.
 Two independent constructions of that lattice are kept side by side:
 the down-sets of the least map i ↦ σ({i}), read off the deletion
 reaches and scanned by ``SubsetLattice.from_least``, and a generator
-route from supports of independent sets closed under intersection.
-Each serves as the oracle for the other.
+route that reads σ off the tight supports of independent sets and
+scans the same way.  Each serves as the oracle for the other.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import count
 
 from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
-                   family_key, intersection_closure)
+                   family_key, least_containing)
 from .matroid import Matroid
 from .presentations import maximalize, require_full_rank
 
@@ -102,7 +102,7 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
     return SubsetLattice.from_least(least)
 
 
-def tight_supports(system: SetSystem) -> SubsetLattice:
+def tight_supports(system: SetSystem) -> frozenset[int]:
     """Supports of sets whose rank matches their support size.
 
     The family is closed under union but not, in general, under
@@ -127,13 +127,18 @@ def tight_supports(system: SetSystem) -> SubsetLattice:
         size = k_mask.bit_count()
         if inside.bit_count() >= size and matching.rank(system, inside) == size:
             members.append(k_mask)
-    return SubsetLattice(r, frozenset(members))
+    return frozenset(members)
 
 
 def extension_lattice_from_supports(system: SetSystem) -> SubsetLattice:
-    """The closed-set lattice built as the intersection closure of supports."""
-    gen = tight_supports(system)
-    return SubsetLattice(gen.r, intersection_closure(gen.members, gen.r))
+    """The lattice the tight supports generate, read off its least map.
+
+    The supports hold ∅ and [r] and are closed under union, so their
+    intersections are too; i's least member is the intersection of the
+    supports holding i, and ``from_least`` scans that map's down-sets.
+    """
+    least = least_containing(tight_supports(system))
+    return SubsetLattice.from_least(list(least.values()))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ counting condition on every subset.  The closed index sets are found
 by testing every outside index of every index set, from a list of
 those indices.  The catalog lattices are the powerset with each
 interval tested on every subset, and an order's transitive closure is
-a fixpoint over its points.  Family closure is a plain fixpoint over all pairs,
-the census table closes each generator family from the one without
-its lowest member, and the lattice read-offs (covers, heights, first
+a fixpoint over its points.  Family closure is a plain fixpoint over
+all pairs (under intersection alone, the oracle of the support route
+and of the common-extension check), the census table closes each
+generator family from the one without its lowest member, and the lattice read-offs (covers, heights, first
 occurrences, meet-irreducibles) compare members pairwise or
 triplewise, and the Hasse diagram's DOT text is written from them.
 The maximal presentation of a lattice gives a block to every nonempty
@@ -245,6 +246,14 @@ def brute_cyclic_flats(m) -> tuple[int, ...]:
                         key=family_key))
 
 
+def brute_tight_supports(system) -> set[int]:
+    """The supports of element sets whose rank, read off the presented
+    matroid's bases, is their support size."""
+    m = Matroid.from_system(system)
+    return {system.support(x) for x in range(1 << system.ground.n)
+            if system.support(x).bit_count() == m.rank(x)}
+
+
 def counting_independent(system, x_mask):
     """Every subset must meet at least as many sets as it has elements."""
     for z in submasks(x_mask):
@@ -325,6 +334,22 @@ def brute_transitive_closure(below) -> list[int]:
                 below[j] = merged
                 changed = True
     return below
+
+
+def intersection_closure(masks, r: int) -> frozenset[int]:
+    """Close a family of index sets under pairwise intersection."""
+    fam = set(masks)
+    frontier = list(fam)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(fam):
+                c = a & b
+                if c not in fam:
+                    fam.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(fam)
 
 
 def union_intersection_closure(members, r: int) -> frozenset[int]:

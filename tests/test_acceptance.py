@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from tmlat.core import SubsetLattice, bit_indices, intersection_closure
+from tmlat.core import SubsetLattice, bit_indices
 from tmlat.extlattice import (common_extension_lattice, extension_lattice,
                               extension_lattice_from_supports,
                               extension_matroids)
@@ -25,6 +25,8 @@ from tmlat.verify import (canonical_family, catalog_classes, census_sublattices,
                           near_uniform_minimal,
                           presentation_walk, random_presentation,
                           sharp_chain_presentation, sharp_common_pair)
+
+from .oracles import intersection_closure
 
 SEED = 20240406
 

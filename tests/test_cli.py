@@ -444,6 +444,15 @@ def test_non_integer_fields_exit_3(capsys, tmp_path, command, doc, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("r", [33, -1])
+def test_lattice_rank_out_of_range_exits_3(capsys, tmp_path, r):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": r, "sets": [[]]}))
+    code, out, err = run(capsys, "irreducibles", str(bad))
+    assert code == 3 and out == ""
+    assert err == f"error: r = {r} lies outside 0..32\n"
+
+
 # Labels are JSON strings or integers.  Each value below reads under str()
 # as a Python repr ("None", "True", "1.5", "{'a': 1}", "['b']"); in the set
 # case the ground holds that repr, so a reader that applies str() to

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                        closed_sets, family_key, intersection_closure,
+                        closed_sets, family_key,
                         lattice_doc, lattice_text, make_system, mask_of,
                         parse_lattice, parse_presentation, presentation_doc)
 
-from .oracles import brute_closed_sets, brute_lattice_text, submasks
+from .oracles import (brute_closed_sets, brute_lattice_text,
+                      intersection_closure, submasks)
 
 
 def presentation_text(system):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmlat import extlattice, matching
+from tmlat import core, extlattice, matching
 from tmlat.constructions import build_maximal_presentation
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                        intersection_closure, make_system, mask_of)
+                        make_system, mask_of)
 from tmlat.extlattice import (common_extension_lattice, extend,
                               extension_lattice,
                               extension_lattice_from_supports,
@@ -21,7 +21,8 @@ from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
                           random_presentation, sharp_common_pair)
 
 from .oracles import (brute_circuit_through, brute_common_extension_lattice,
-                      cyclic_flat_supports, is_cyclic, iterated_extend)
+                      brute_tight_supports, cyclic_flat_supports,
+                      intersection_closure, is_cyclic, iterated_extend)
 
 
 def members(lat):
@@ -162,16 +163,43 @@ def test_generated_strategy_agrees(threelines_maximal, threelines_submaximal,
 def test_tight_supports_against_direct_enumeration(threelines_maximal,
                                                    threelines_submaximal,
                                                    minmax4):
-    for system in (threelines_maximal, threelines_submaximal, minmax4):
-        m = Matroid.from_system(system)
-        direct = set()
-        for x in range(1 << system.ground.n):
-            s = system.support(x)
-            if s.bit_count() == m.rank(x):
-                direct.add(s)
-        tight = tight_supports(system).members
-        assert tight == direct
+    """Three fixtures, and seeded systems on at most 8 elements."""
+    systems = [threelines_maximal, threelines_submaximal, minmax4]
+    rng = random.Random(24)
+    for _ in range(80):
+        r = rng.randint(1, 6)
+        systems.append(random_presentation(r, rng.randint(r, 8),
+                                           density=rng.uniform(0.3, 0.9),
+                                           rng=rng))
+    for system in systems:
+        tight = tight_supports(system)
+        assert tight == brute_tight_supports(system)
         assert all((a | b) in tight for a in tight for b in tight)
+
+
+@st.composite
+def seeded_presentations(draw):
+    """``random_presentation`` with a drawn seed: r <= 8, n <= 14."""
+    r = draw(st.integers(1, 8))
+    n = draw(st.integers(r, 14))
+    density = draw(st.floats(0.3, 0.9))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return random_presentation(r, n, density, seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_presentations())
+def test_support_route_is_the_intersection_closure(system):
+    """The route's premise (union-closed tight supports holding the empty
+    set and [r]), its members against the fixpoint closure, and the least
+    map it hands in."""
+    tight = tight_supports(system)
+    assert {0, system.full_index_mask} <= tight
+    assert all((a | b) in tight for a in tight for b in tight)
+    lat = extension_lattice_from_supports(system)
+    assert lat.least is not None  # handed in: no call has computed it yet
+    assert lat.members == intersection_closure(tight, system.r)
+    assert dict(lat.least_containing()) == core.least_containing(lat.members)
 
 
 def test_minimal_presentation_gives_powerset(u34_minimal):

@@ -26,7 +26,8 @@ from tmlat.verify import _all_poset_lattices, _is_uniform
 
 from .oracles import (brute_catalog_members, brute_closed_family_table,
                       brute_is_uniform, brute_maximal_sublattices,
-                      brute_poset_lattices, union_intersection_closure)
+                      brute_poset_lattices, intersection_closure,
+                      union_intersection_closure)
 
 
 def test_catalog_sizes():
@@ -274,6 +275,27 @@ def test_check_charmin_passes():
     rep = check_charmin(trials=40, seed=7)
     assert rep.ok and rep.instances == 40
     assert rep.lines()[0].startswith("[charmin]")
+
+
+def test_tight_both_ways_is_the_intersection_closure():
+    """On walk pairs sampled as ``check_intersection`` samples them, the
+    supports tight under both presentations close under intersection to
+    a union-closed family, the one ``_tight_both_ways`` returns."""
+    rng = random.Random(24)
+    for t in range(300):
+        r = 2 + t % 4
+        a = random_presentation(r, rng.randint(r, min(2 * r, 8)),
+                                density=rng.uniform(0.4, 0.9), rng=rng)
+        b = presentation_walk(a, rng.randint(1, 4), rng)
+        m = Matroid.from_system(a)
+        gens = set()
+        for x in range(1 << a.ground.n):
+            sa, sb = a.support(x), b.support(x)
+            if m.rank(x) == x.bit_count() == sa.bit_count() == sb.bit_count():
+                gens.add(sa)
+        closure = intersection_closure(gens, r)
+        assert all((p | q) in closure for p in closure for q in closure)
+        assert verify._tight_both_ways(a, b) == closure
 
 
 def test_check_threequarters_passes():
