@@ -25,12 +25,15 @@ from .matroid import matroid_doc
 from .presentations import (is_minimal, maximalize, minimal_presentations_below,
                             presentation_rank)
 
-# The verify suites, each with the flags it reads and their defaults.  A
-# suite refuses any other flag.
+# The verify suites, each with its check and the flags it reads, with
+# their defaults.  A suite refuses any other flag.
 _SAMPLED = {"r": 4, "trials": 50, "seed": 20240406}
-SUITES = {"charmin": _SAMPLED, "threequarters": _SAMPLED,
-          "intersection": _SAMPLED, "classification": {"r": 4},
-          "roundtrip": {}, "all": {"seed": 20240406}}
+SUITES = {"charmin": (verify.check_charmin, _SAMPLED),
+          "threequarters": (verify.check_threequarters, _SAMPLED),
+          "intersection": (verify.check_intersection, _SAMPLED),
+          "classification": (verify.check_classification, {"r": 4}),
+          "roundtrip": (verify.check_roundtrip, {}),
+          "all": (verify.check_all, {"seed": 20240406})}
 
 
 def _read(path: str) -> str:
@@ -212,17 +215,12 @@ def cmd_ideals(args) -> int:
 def cmd_verify(args) -> int:
     given = {flag: value for flag in ("r", "trials", "seed")
              if (value := getattr(args, flag)) is not None}
-    unread = [f"--{flag}" for flag in given if flag not in SUITES[args.suite]]
+    check, defaults = SUITES[args.suite]
+    unread = [f"--{flag}" for flag in given if flag not in defaults]
     if unread:
         build_parser(args.command).error(
             f"verify {args.suite} reads no {', '.join(unread)}")
-    check = {"charmin": verify.check_charmin,
-             "threequarters": verify.check_threequarters,
-             "intersection": verify.check_intersection,
-             "classification": verify.check_classification,
-             "roundtrip": verify.check_roundtrip,
-             "all": verify.check_all}[args.suite]
-    got = check(**(SUITES[args.suite] | given))
+    got = check(**(defaults | given))
     reports = got if args.suite == "all" else [got]
     if args.json:
         _emit([rep.to_doc() for rep in reports])
@@ -313,12 +311,9 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OverflowError) as exc:
+    except (ValueError, KeyError, OverflowError, OSError) as exc:
         # OverflowError: a count too large to shift into a bitmask, such as
         # a 21-digit --n.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

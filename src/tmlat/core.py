@@ -167,8 +167,11 @@ def least_containing(members) -> dict[int, int]:
         top |= m
     least = dict.fromkeys(bit_indices(top), top)
     for m in members:
-        for i in bit_indices(m):
-            least[i] &= m
+        rest = m
+        while rest:
+            low = rest & -rest
+            least[low.bit_length() - 1] &= m
+            rest ^= low
     return least
 
 

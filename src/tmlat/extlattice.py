@@ -150,11 +150,13 @@ class ExtensionRecord:
 
 
 def extension_matroids(system: SetSystem) -> tuple[ExtensionRecord, ...]:
-    """One record per closed index set, in canonical order; the basis
-    walks of all records share one ``BASES_BUDGET``."""
+    """One record per closed index set, in canonical order, the new
+    element labelled apart from the ground; the basis walks of all
+    records share one ``BASES_BUDGET``."""
     lat = extension_lattice(system)
+    label = fresh_label(system.ground)
     visits = count(1)
-    return tuple(ExtensionRecord(i, extension_matroid(system, i, visits=visits))
+    return tuple(ExtensionRecord(i, extension_matroid(system, i, label, visits))
                  for i in lat.sorted_members())
 
 

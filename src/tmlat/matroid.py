@@ -6,9 +6,8 @@ budget.  One loop over the bases probes every exchange A - e + f and
 lists the fundamental cocircuits; the exchange check, the circuits and
 the cocircuits read that list, and the cyclic flats are joins of
 closures of circuits.  Each family is computed lazily and cached.
-Restriction is the one minor; the transversality test, a search over
-multisets of cocircuits capped at desk scale, splits coloops off with
-it.
+The transversality test searches multisets of the cocircuits that
+avoid the coloops, on the matroid as given, capped at desk scale.
 """
 
 from __future__ import annotations
@@ -21,7 +20,9 @@ from . import matching
 from .core import (GroundSet, SetSystem, as_document, bit_indices, family_key,
                    label_list, require_list)
 
-ENUM_LIMIT = 16  # the cocircuit search is exponential; larger cores refuse
+# The cocircuit search is exponential: it refuses a matroid with more
+# elements outside its coloops than this.
+ENUM_LIMIT = 16
 # Independent sets the basis enumerations of one call may visit in all;
 # the largest fixture call, t-lattice on 18 elements, visits 62,244.
 BASES_BUDGET = 200_000
@@ -152,24 +153,6 @@ class Matroid:
             self._cyclic_flats = tuple(sorted(flats, key=family_key))
         return self._cyclic_flats
 
-    # -- restriction --------------------------------------------------------
-
-    def restrict(self, x_mask: int) -> "Matroid":
-        """The restriction to ``x_mask``, reindexed onto the surviving labels:
-        its bases are the largest traces ``B & x_mask`` of the bases."""
-        keep = bit_indices(x_mask)
-        sub = GroundSet(tuple(self.ground.names[i] for i in keep))
-        rk = self.rank(x_mask)
-        bases = set()
-        for b in self._bases:
-            if (b & x_mask).bit_count() == rk:
-                out = 0
-                for new, old in enumerate(keep):
-                    if b & (1 << old):
-                        out |= 1 << new
-                bases.add(out)
-        return Matroid(sub, bases)
-
     # -- comparisons --------------------------------------------------------
 
     def _require_same_ground(self, other: "Matroid"):
@@ -242,12 +225,14 @@ def _check_basis_exchange(bases: frozenset[int]) -> list[tuple[int, list[int]]]:
 # -- transversality -----------------------------------------------------------
 
 
-def _cocircuit_search(m: Matroid, r: int) -> tuple[int, ...] | None:
-    """Find r cocircuits of the coloop-free ``m`` presenting it, if any."""
+def _cocircuit_search(m: Matroid, r: int, coloops: int) -> tuple[int, ...] | None:
+    """Find r cocircuits of ``m`` avoiding ``coloops`` that, with one
+    singleton per coloop, present ``m``, if any."""
     bases = sorted(m.bases(), key=family_key)
     small_circuits = [c for c in m.circuits() if c.bit_count() <= r]
-    cands = sorted(m.cocircuits(), key=lambda c: (-c.bit_count(), c))
-    nonloops = m.closure(0) ^ m.ground.full_mask
+    cands = sorted((d for d in m.cocircuits() if not d & coloops),
+                   key=lambda c: (-c.bit_count(), c))
+    nonloops = m.ground.full_mask & ~(m.closure(0) | coloops)
     # What the tail starting at index i can still cover.
     suffix_cover = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
@@ -296,39 +281,25 @@ def transversal_presentation(m: Matroid) -> SetSystem | None:
     """A presentation of ``m`` by cocircuit sets, or None if none exists.
 
     Minimal presentations consist of cocircuits, so searching multisets
-    of cocircuits decides transversality.  Coloops split off first: each
-    one forces its own singleton set, and removing them cannot create
-    new coloops.
+    of cocircuits decides transversality.  Each coloop forces its own
+    singleton set, and the other sets are cocircuits avoiding the
+    coloops, so the search picks r0 = r - |coloops| of those and the
+    singletons follow.
     """
-    r = m.full_rank
-    coloop_mask = m.coloops()
-    core_mask = m.ground.full_mask & ~coloop_mask
-    core = m.restrict(core_mask)
-    r0 = r - coloop_mask.bit_count()
-
+    coloops = m.coloops()
+    r0 = m.full_rank - coloops.bit_count()
     if r0 == 0:
-        core_sets: tuple[int, ...] | None = ()
-    elif core.ground.n > ENUM_LIMIT:
+        sets: tuple[int, ...] | None = ()
+    elif (m.ground.full_mask & ~coloops).bit_count() > ENUM_LIMIT:
         raise ValueError(f"transversality search capped at {ENUM_LIMIT} "
                          f"elements")
     else:
-        core_sets = _cocircuit_search(core, r0)
-    if core_sets is None:
+        sets = _cocircuit_search(m, r0, coloops)
+    if sets is None:
         return None
-
-    # Translate core masks back to the full ground, then append singletons.
-    keep = bit_indices(core_mask)
-    sets = []
-    for a in core_sets:
-        full = 0
-        for new, old in enumerate(keep):
-            if a & (1 << new):
-                full |= 1 << old
-        sets.append(full)
-    sets.extend(1 << e for e in bit_indices(coloop_mask))
-    if not sets:
-        sets = [0]  # rank-0 matroid: one empty set presents it
-    witness = SetSystem(m.ground, tuple(sets))
+    sets += tuple(1 << e for e in bit_indices(coloops))
+    # a rank-0 matroid has no sets; one empty set presents it
+    witness = SetSystem(m.ground, sets or (0,))
     if Matroid.from_system(witness).bases() != m.bases():
         raise AssertionError("cocircuit witness does not present the matroid")
     return witness

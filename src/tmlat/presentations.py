@@ -138,7 +138,8 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
     seen: set[tuple[int, ...]] = set()
     found: dict[tuple[int, ...], SetSystem] = {}
 
-    def walk(key: tuple[int, ...]):
+    def visit(key: tuple[int, ...]):
+        """Mark ``key`` seen; return it with an iterator over its removals."""
         # only unseen keys become systems, since most steps revisit one
         seen.add(key)
         if len(seen) > MINIMAL_BUDGET:
@@ -148,13 +149,20 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
         pairs = removable_pairs(current)
         if not pairs:
             found[key] = current
-            return
+        return key, iter(pairs)
+
+    # Depth first, one stack entry per presentation on the current path:
+    # a path can be r(r - 1) removals long, too deep for recursion.
+    stack = [visit(system.sets)]
+    while stack:
+        key, pairs = stack[-1]
         for i, e in pairs:
             below = key[:i] + (key[i] & ~(1 << e),) + key[i + 1:]
             if below not in seen:
-                walk(below)
-
-    walk(system.sets)
+                stack.append(visit(below))
+                break
+        else:
+            stack.pop()
     out = [c for c in found.values()
            if all(c.support(1 << e) == system.support(1 << e)
                   for e in bit_indices(keep))]

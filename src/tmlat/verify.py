@@ -102,7 +102,7 @@ def catalog(r: int) -> list[CatalogLattice]:
 
 def catalog_classes(r: int) -> set[int]:
     """Canonical family masks of every catalog lattice at this r."""
-    return {canonical_family(family_mask(c.lattice.members), r) for c in catalog(r)}
+    return {canonical_family(mask_of(c.lattice.members), r) for c in catalog(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +110,6 @@ def catalog_classes(r: int) -> set[int]:
 #
 # A family of subsets of [r] is encoded as one int with bit m set when
 # the subset with mask m belongs to the family.
-
-
-def family_mask(members) -> int:
-    f = 0
-    for m in members:
-        f |= 1 << m
-    return f
 
 
 def family_members(fmask: int) -> frozenset[int]:
@@ -216,7 +209,7 @@ def maximal_proper_sublattices(lat: SubsetLattice) -> list[frozenset[int]]:
     is inside some maximum already found: comparing it with those is
     enough.
     """
-    lmask = family_mask(lat.members)
+    lmask = mask_of(lat.members)
     cands = sorted((f for f in distinct_closed_families(lat.r)
                     if f != lmask and f & ~lmask == 0),
                    key=int.bit_count, reverse=True)
@@ -243,7 +236,7 @@ def interval_predicted_sublattices(lat: SubsetLattice) -> list[frozenset[int]]:
             interval = {m for m in lat.members if m & a == a and m & b == m}
             if interval & jset == {a} and interval & mset == {b}:
                 out.add(frozenset(lat.members - interval))
-    return sorted(out, key=lambda f: family_mask(f))
+    return sorted(out, key=mask_of)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +624,8 @@ def check_classification(r: int = 4) -> VerdictReport:
     half = 1 << (r - 1)
     census = census_sublattices(r, half)
     rep.instances += 1
-    got = {canonical_family(family_mask(lat.members), r) for lat in census}
-    full_family = canonical_family(family_mask(range(1 << r)), r)
+    got = {canonical_family(mask_of(lat.members), r) for lat in census}
+    full_family = canonical_family(mask_of(range(1 << r)), r)
     want = catalog_classes(r) | {full_family}
     for c in catalog(r):
         if (len(c.lattice) != c.expected_size
@@ -656,14 +649,14 @@ def check_classification(r: int = 4) -> VerdictReport:
     if len(direct) != r * (r - 1):
         rep.fail(f"powerset has {len(direct)} maximal sublattices, "
                  f"expected {r * (r - 1)}")
-    chain_class = canonical_family(family_mask(chain1.members), r)
-    if any(canonical_family(family_mask(f), r) != chain_class for f in direct):
+    chain_class = canonical_family(mask_of(chain1.members), r)
+    if any(canonical_family(mask_of(f), r) != chain_class for f in direct):
         rep.fail("a maximal sublattice of the powerset is not a relabeled "
                  "first chain lattice")
 
     if r >= 4:
         rep.instances += 1
-        vee = family_mask(catalog_lattice("two_implications", r).lattice.members)
+        vee = mask_of(catalog_lattice("two_implications", r).lattice.members)
         five_eighths = 5 << (r - 3)
         for f in distinct_closed_families(r):
             if f.bit_count() == five_eighths and vee & ~f == 0:

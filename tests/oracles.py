@@ -28,7 +28,9 @@ scanned over every pair of bases and every element of their difference.
 A matroid's circuits come from a scan of all 2^n subsets, and its
 hyperplanes and cyclic flats from closing every independent set of
 each rank.  A restriction is presented by cutting every set of a
-presentation.
+presentation, and a matroid's restriction keeps the largest traces of
+its bases.  The transversality search runs on the restriction to the
+elements outside the coloops, its masks translated back.
 
 The helpers that only tests call live here too, so the package keeps
 only what the command line, ``verify`` and its own layers use:
@@ -46,11 +48,11 @@ from tmlat.constructions import ideals_of_poset
 from tmlat.extlattice import (CommonExtensions, extend, extension_matroids,
                               fresh_label)
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                        family_key, index_list, lattice_doc)
-from tmlat.matroid import Matroid
+                        family_key, index_list, lattice_doc, mask_of)
+from tmlat.matroid import ENUM_LIMIT, Matroid, _cocircuit_search
 from tmlat.presentations import (_with_bit, is_maximal, preceq,
                                  require_full_rank)
-from tmlat.verify import (_add_member, distinct_closed_families, family_mask,
+from tmlat.verify import (_add_member, distinct_closed_families,
                           family_members)
 
 
@@ -136,6 +138,57 @@ def cut_presentation(system, x_mask):
         sets.append(m)
     names = tuple(system.ground.names[i] for i in keep)
     return SetSystem(GroundSet(names), tuple(sets))
+
+
+def restrict(m, x_mask: int) -> Matroid:
+    """The restriction to ``x_mask``, reindexed onto the surviving labels:
+    its bases are the largest traces ``B & x_mask`` of the bases."""
+    keep = bit_indices(x_mask)
+    sub = GroundSet(tuple(m.ground.names[i] for i in keep))
+    rk = m.rank(x_mask)
+    bases = set()
+    for b in m.bases():
+        if (b & x_mask).bit_count() == rk:
+            out = 0
+            for new, old in enumerate(keep):
+                if b & (1 << old):
+                    out |= 1 << new
+            bases.add(out)
+    return Matroid(sub, bases)
+
+
+def brute_transversal_presentation(m):
+    """The cocircuit search on a restricted copy: coloops split off, the
+    coloop-free part searched, its masks translated back to the full
+    ground, then one singleton per coloop."""
+    r = m.full_rank
+    coloop_mask = m.coloops()
+    core_mask = m.ground.full_mask & ~coloop_mask
+    core = restrict(m, core_mask)
+    r0 = r - coloop_mask.bit_count()
+
+    if r0 == 0:
+        core_sets = ()
+    elif core.ground.n > ENUM_LIMIT:
+        raise ValueError(f"transversality search capped at {ENUM_LIMIT} "
+                         f"elements")
+    else:
+        core_sets = _cocircuit_search(core, r0, 0)
+    if core_sets is None:
+        return None
+
+    keep = bit_indices(core_mask)
+    sets = []
+    for a in core_sets:
+        full = 0
+        for new, old in enumerate(keep):
+            if a & (1 << new):
+                full |= 1 << old
+        sets.append(full)
+    sets.extend(1 << e for e in bit_indices(coloop_mask))
+    if not sets:
+        sets = [0]  # rank-0 matroid: one empty set presents it
+    return SetSystem(m.ground, tuple(sets))
 
 
 def brute_max_matching_owner(system, x_mask):
@@ -553,7 +606,7 @@ def brute_is_uniform(system, r: int, n: int) -> bool:
 
 def brute_maximal_sublattices(lat):
     """Maximal proper nonempty sublattices, every candidate pair compared."""
-    lmask = family_mask(lat.members)
+    lmask = mask_of(lat.members)
     cands = [f for f in distinct_closed_families(lat.r)
              if f != lmask and f & ~lmask == 0]
     out = [f for f in cands

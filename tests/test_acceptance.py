@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from tmlat.core import SubsetLattice, bit_indices
+from tmlat.core import SubsetLattice, bit_indices, mask_of
 from tmlat.extlattice import (common_extension_lattice, extension_lattice,
                               extension_lattice_from_supports,
                               extension_matroids)
@@ -21,7 +21,7 @@ from tmlat.constructions import (build_maximal_presentation,
                                  build_uniform_presentation, validate_lattice)
 from tmlat.verify import (canonical_family, catalog_classes, census_sublattices,
                           circuit_support_identity, closed_family_table,
-                          distinct_closed_families, family_mask,
+                          distinct_closed_families,
                           near_uniform_minimal,
                           presentation_walk, random_presentation,
                           sharp_chain_presentation, sharp_common_pair)
@@ -257,14 +257,14 @@ def test_criterion_11_census_matches_catalog():
     distinct_closed_families.cache_clear()
     t0 = time.perf_counter()
     census4 = census_sublattices(4, 8)
-    got4 = {canonical_family(family_mask(lat.members), 4) for lat in census4}
-    want4 = catalog_classes(4) | {canonical_family(family_mask(range(16)), 4)}
+    got4 = {canonical_family(mask_of(lat.members), 4) for lat in census4}
+    want4 = catalog_classes(4) | {canonical_family(mask_of(range(16)), 4)}
     census3 = census_sublattices(3, 4)
-    got3 = {canonical_family(family_mask(lat.members), 3) for lat in census3}
-    want3 = catalog_classes(3) | {canonical_family(family_mask(range(8)), 3)}
+    got3 = {canonical_family(mask_of(lat.members), 3) for lat in census3}
+    want3 = catalog_classes(3) | {canonical_family(mask_of(range(8)), 3)}
     elapsed = time.perf_counter() - t0
     vee = canonical_family(
-        family_mask(SubsetLattice(4, frozenset(
+        mask_of(SubsetLattice(4, frozenset(
             x for x in range(16)
             if not (x & 1 and not x & 2) and not (x & 4 and not x & 8))).members), 4)
     ok = (got4 == want4 and got3 == want3

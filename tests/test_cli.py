@@ -124,6 +124,19 @@ def test_t_lattice(capsys):
     assert len(free.bases()) == 10
 
 
+def test_t_lattice_names_the_new_element_apart_from_the_ground(capsys,
+                                                              tmp_path):
+    """A ground holding the label x names the new element x1."""
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"ground": ["x", "y", "z"],
+                               "sets": [["x", "y"], ["y", "z"]]}))
+    code, out, err = run(capsys, "t-lattice", str(doc))
+    assert (code, err) == (0, "")
+    records = json.loads(out)["extensions"]
+    assert records
+    assert all(rec["ground"] == ["x", "y", "z", "x1"] for rec in records)
+
+
 def test_intersect(capsys):
     code, out, _ = run(capsys, "intersect", path("meet_pair_a.json"),
                        path("meet_pair_b.json"))
@@ -285,6 +298,7 @@ def test_lattice_files_are_validated_once(capsys, monkeypatch, argv):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
+    from tmlat import cli
     from tmlat.verify import VerdictReport
 
     def broken(**kwargs):
@@ -292,7 +306,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         rep.fail("synthetic witness")
         return rep
 
-    monkeypatch.setattr("tmlat.cli.verify.check_charmin", broken)
+    monkeypatch.setitem(cli.SUITES, "charmin", (broken, cli.SUITES["charmin"][1]))
     code, out, _ = run(capsys, "verify", "charmin")
     assert code == 1
     assert "FAIL synthetic witness" in out
@@ -664,6 +678,23 @@ def test_minimal_walk_fails_fast(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err == (f"error: minimal presentation walk capped at "
                    f"{MINIMAL_BUDGET} visited presentations\n")
+
+
+def test_minimal_walk_at_rank_32_stops_at_its_budget(capsys, tmp_path,
+                                                     monkeypatch):
+    """32 copies of a 33-element ground: a walk path can be r(r - 1) = 992
+    removals long, deeper than Python's recursion limit.  The walk keeps
+    its path on a stack, so it ends at its budget, with one line."""
+    from tmlat import presentations
+
+    monkeypatch.setattr(presentations, "MINIMAL_BUDGET", 1000)
+    names = [f"e{i}" for i in range(33)]
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"ground": names, "sets": [names] * 32}))
+    code, out, err = run(capsys, "minimal", str(doc))
+    assert (code, out) == (3, "")
+    assert err == ("error: minimal presentation walk capped at 1000 "
+                   "visited presentations\n")
 
 
 @pytest.mark.parametrize("argv", [["irreducibles"], ["construct-maximal"],

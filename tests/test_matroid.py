@@ -17,8 +17,9 @@ from tmlat.matroid import (Matroid, is_transversal, matroid_doc, parse_matroid,
                            transversal_presentation)
 
 from .oracles import (brute_basis_exchange, brute_circuits, brute_cocircuits,
-                      brute_cyclic_flats, brute_rank, cut_presentation,
-                      is_cyclic, principal_extension)
+                      brute_cyclic_flats, brute_rank,
+                      brute_transversal_presentation, cut_presentation,
+                      is_cyclic, principal_extension, restrict)
 
 
 def labels(m, mask):
@@ -183,10 +184,19 @@ def test_transversality_search_refuses_seventeen_elements():
     assert str(err.value) == "transversality search capped at 16 elements"
 
 
+def test_transversality_search_counts_elements_outside_the_coloops():
+    """U(1, 16) with three coloops has 19 elements, 16 of them outside
+    the coloops, so it is searched."""
+    names = [f"e{i}" for i in range(19)]
+    m = parse_matroid({"ground": names,
+                       "bases": [[e, *names[16:]] for e in names[:16]]})
+    assert witness_doc(m)["sets"] == [names[:16], ["e16"], ["e17"], ["e18"]]
+
+
 def test_coloop_goldens(threelines_submaximal, u34_first):
     sub = Matroid.from_system(threelines_submaximal)
     g = sub.ground
-    rest = sub.restrict(g.full_mask & ~threelines_submaximal.sets[1])
+    rest = restrict(sub, g.full_mask & ~threelines_submaximal.sets[1])
     assert rest.ground.names == ("a", "g", "h", "i")
     assert rest.coloops() & 1
     loopy = Matroid.from_system(make_system("ab", ["a", "a"]))
@@ -197,19 +207,19 @@ def test_coloop_goldens(threelines_submaximal, u34_first):
 
 def test_delete_restrict(threelines_maximal, u34_first):
     m = Matroid.from_system(threelines_maximal)
-    deleted = m.restrict(m.ground.full_mask & ~threelines_maximal.sets[1])
+    deleted = restrict(m, m.ground.full_mask & ~threelines_maximal.sets[1])
     assert deleted.ground.names == ("g", "h", "i")
     assert deleted.full_rank == 2
-    assert m.restrict(m.ground.full_mask).equals(m)
+    assert restrict(m, m.ground.full_mask).equals(m)
     u = Matroid.from_system(u34_first)
-    pair = u.restrict(u.ground.mask("ab"))
+    pair = restrict(u, u.ground.mask("ab"))
     assert pair.full_rank == 2 and pair.bases() == frozenset([0b11])
 
 
 def test_restrict_agrees_with_rank(threelines_maximal):
     m = Matroid.from_system(threelines_maximal)
     x = threelines_maximal.ground.mask("abcdef")
-    sub = m.restrict(x)
+    sub = restrict(m, x)
     # labels of surviving elements keep their relative order
     for mask in range(1 << 6):
         lifted = 0
@@ -296,7 +306,7 @@ def test_freer_matroid_after_growing_sets():
         assert m.weak_leq(nn)
         # the deletion-equality law: same deletion plus a coloop forces equality
         rest = m.ground.full_mask & ~(1 << e)
-        if m.restrict(rest).bases() == nn.restrict(rest).bases() and \
+        if restrict(m, rest).bases() == restrict(nn, rest).bases() and \
                 m.full_rank and m.coloops() & (1 << e):
             assert m.equals(nn)
             hits += 1
@@ -384,7 +394,7 @@ def test_bases_agree_with_the_matching_oracle(system, x):
     for y in range(full + 1):
         assert m.rank(y) == brute_rank(system, y)
     x &= full
-    assert m.restrict(x).bases() == \
+    assert restrict(m, x).bases() == \
         Matroid.from_system(cut_presentation(system, x)).bases()
     r = brute_rank(system, full)
     assert m.coloops() == sum(1 << e for e in range(system.ground.n)
@@ -399,7 +409,7 @@ def test_transversal_witnesses(u34_first, nontransversal_meet):
 
     loopy = Matroid.from_system(make_system("el", ["e", "e"]))
     # rank 1 with a loop
-    sub = loopy.restrict(loopy.ground.mask("el"))
+    sub = restrict(loopy, loopy.ground.mask("el"))
     assert is_transversal(sub)
 
     assert not is_transversal(nontransversal_meet)
@@ -472,7 +482,7 @@ def test_witness_check_survives_optimize():
         from tmlat.core import make_system
 
         u34 = matroid.Matroid.from_system(make_system("abcd", ["abd", "acd", "bcd"]))
-        matroid._cocircuit_search = lambda m, r: (0b0001, 0b0010, 0b0100)
+        matroid._cocircuit_search = lambda m, r, coloops: (0b0001, 0b0010, 0b0100)
         try:
             matroid.transversal_presentation(u34)
         except AssertionError as exc:
@@ -500,7 +510,7 @@ def test_nontransversal_meet_sanity(nontransversal_meet, meet_pair):
     # deleting the new element gives back the presented matroid
     a, _ = meet_pair
     base = Matroid.from_system(a)
-    restricted = n.restrict(g.full_mask & ~g.mask("x"))
+    restricted = restrict(n, g.full_mask & ~g.mask("x"))
     assert restricted.bases() == base.bases()
 
 
@@ -519,7 +529,8 @@ def test_matroid_json_round_trip(nontransversal_meet):
 
 
 def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
-    """``from_bases`` checks the axiom; ``restrict`` trusts a valid matroid."""
+    """``from_bases`` checks the axiom; the transversality test searches
+    the parsed matroid itself and checks no basis family again."""
     g = GroundSet(tuple("abcd"))
     with pytest.raises(ValueError, match="exchange"):
         Matroid.from_bases(g, [g.mask("ab"), g.mask("cd")])
@@ -642,3 +653,43 @@ def test_coloop_split_presentation():
     witness = transversal_presentation(m)
     assert witness is not None
     assert Matroid.from_system(witness).bases() == m.bases()
+
+
+def coloop_and_loop_matroids(count, seed):
+    """Seeded presented matroids: up to three random sets on up to six
+    elements, then up to two coloops (each a singleton set of its own)
+    and up to one loop (in no set), with the ground shuffled so that
+    coloops and loops fall between the other elements.  Then M(K4),
+    which is not transversal, with the same additions."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        r = rng.randint(1, min(3, n))
+        coloops, loops = rng.randint(0, 2), rng.randint(0, 1)
+        names = [f"e{i}" for i in range(n + coloops + loops)]
+        sets = [[names[i] for i in range(n) if rng.random() < 0.6]
+                for _ in range(r)]
+        sets += [[names[n + k]] for k in range(coloops)]
+        rng.shuffle(names)
+        yield Matroid.from_system(make_system(names, sets))
+    k4 = complete_graph_k4()
+    for coloops, loops in ((1, 0), (0, 1), (2, 1)):
+        ground = GroundSet(k4.ground.names + tuple(
+            f"c{k}" for k in range(coloops + loops)))
+        coloop_mask = ((1 << coloops) - 1) << k4.ground.n
+        yield Matroid.from_bases(ground, [b | coloop_mask for b in k4.bases()])
+
+
+def test_search_on_the_matroid_as_given_matches_the_restricted_copy():
+    """Searching the matroid as given returns, mask for mask, what the
+    search on its coloop-free restriction returns once translated back."""
+    ms = list(coloop_and_loop_matroids(320, 25))
+    assert sum(1 for m in ms if m.coloops()) >= 100
+    assert sum(1 for m in ms if m.closure(0)) >= 50
+    assert sum(1 for m in ms if m.coloops() and m.closure(0)) >= 30
+    verdicts = []
+    for m in ms:
+        got = transversal_presentation(m)
+        assert got == brute_transversal_presentation(m)
+        verdicts.append(got is not None)
+    assert verdicts.count(False) == 3

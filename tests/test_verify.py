@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tmlat import verify
 from tmlat.constructions import build_uniform_presentation
-from tmlat.core import GroundSet, SetSystem, SubsetLattice, bit_indices
+from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
+                        mask_of)
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import (is_minimal, presentation_rank,
@@ -17,7 +18,7 @@ from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           check_intersection, check_roundtrip,
                           check_threequarters, closed_family_table,
                           disjoint_support_pair, distinct_closed_families,
-                          family_mask, family_members,
+                          family_members,
                           interval_predicted_sublattices,
                           maximal_proper_sublattices, near_uniform_minimal,
                           presentation_walk, random_presentation,
@@ -94,7 +95,7 @@ def test_closure_table_matches_naive_r3():
     for fam in range(1 << 8):
         naive = union_intersection_closure(set(bit_indices(fam)), 3) \
             if fam else frozenset()
-        assert family_mask(naive) == table[fam]
+        assert mask_of(naive) == table[fam]
 
 
 def test_closure_table_matches_naive_r4_sampled():
@@ -104,7 +105,7 @@ def test_closure_table_matches_naive_r4_sampled():
         fam = rng.randrange(1 << 16)
         naive = union_intersection_closure(set(bit_indices(fam)), 4) \
             if fam else frozenset()
-        assert family_mask(naive) == table[fam]
+        assert mask_of(naive) == table[fam]
 
 
 @pytest.mark.parametrize("r", range(5))
@@ -136,8 +137,8 @@ def test_census_classes():
     got = census_sublattices(4, 8)
     assert sorted(len(c) for c in got) == [9, 9, 9, 10, 10, 12, 16]
     # the powerset always appears
-    full = canonical_family(family_mask(range(1 << 3)), 3)
-    assert full in {canonical_family(family_mask(c.members), 3)
+    full = canonical_family(mask_of(range(1 << 3)), 3)
+    assert full in {canonical_family(mask_of(c.members), 3)
                     for c in census_sublattices(3, 4)}
 
 
@@ -149,12 +150,12 @@ def test_census_members_are_closed():
 
 
 def test_first_chain_and_its_reflection_are_one_class():
-    a = family_mask(catalog_lattice("implication_chain", 3, 1).lattice.members)
-    b = family_mask(catalog_lattice("exclusion_chain", 3, 1).lattice.members)
+    a = mask_of(catalog_lattice("implication_chain", 3, 1).lattice.members)
+    b = mask_of(catalog_lattice("exclusion_chain", 3, 1).lattice.members)
     assert canonical_family(a, 3) == canonical_family(b, 3)
     # deeper chains differ from their reflections
-    a = family_mask(catalog_lattice("implication_chain", 4, 2).lattice.members)
-    b = family_mask(catalog_lattice("exclusion_chain", 4, 2).lattice.members)
+    a = mask_of(catalog_lattice("implication_chain", 4, 2).lattice.members)
+    b = mask_of(catalog_lattice("exclusion_chain", 4, 2).lattice.members)
     assert canonical_family(a, 4) != canonical_family(b, 4)
 
 
@@ -165,9 +166,9 @@ def test_maximal_sublattice_rule_powerset():
     assert direct == predicted
     assert len(direct) == 6
     chain_class = canonical_family(
-        family_mask(catalog_lattice("implication_chain", 3, 1).lattice.members), 3)
+        mask_of(catalog_lattice("implication_chain", 3, 1).lattice.members), 3)
     for fam in direct:
-        assert canonical_family(family_mask(fam), 3) == chain_class
+        assert canonical_family(mask_of(fam), 3) == chain_class
 
 
 def test_maximal_sublattice_rule_first_chain():
