@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
-                   bit_indices, family_key, index_list, mask_of)
+                   bit_indices, family_key, index_list)
 
 
 def validate_lattice(members, r: int) -> SubsetLattice:
@@ -96,8 +96,9 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
 
     Element j < r lies in the sets indexed by ``least[j]``, so its
     support is the least member holding j; the elements from r on lie in
-    every set.  ``lat`` is trusted to be closed and to hold the empty
-    set and [r]; ``verify`` checks the result is uniform.
+    every set.  One pass over the map's bits puts each j in its sets.
+    ``lat`` is trusted to be closed and to hold the empty set and [r];
+    ``verify`` checks the result is uniform.
     """
     if n > MAX_ELEMENTS:  # before n names and a 2^n mask are built
         raise ValueError(f"ground set larger than {MAX_ELEMENTS} elements")
@@ -107,11 +108,12 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     least = lat.least_containing()
     if len(least) != r:
         raise ValueError("an index appears first in no member")
-    tail = ((1 << n) - 1) & ~((1 << r) - 1)
-    sets = tuple(tail | mask_of(j for j, m in least.items() if m >> i & 1)
-                 for i in range(r))
+    sets = [((1 << n) - 1) & ~((1 << r) - 1)] * r
+    for j, m in least.items():
+        for i in bit_indices(m):
+            sets[i] |= 1 << j
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    return SetSystem(ground, sets)
+    return SetSystem(ground, tuple(sets))
 
 
 def ideals_of_poset(points: int, less) -> SubsetLattice:

@@ -6,9 +6,11 @@ extension; each extension has a unique largest describing index set,
 and those closed sets form a distributive lattice (join is union, meet
 is intersection) isomorphic to the weak order on the extensions.
 
-Two independent constructions of that lattice are kept side by side:
-the down-sets of the least map i ↦ σ({i}), read off the deletion
-reaches and scanned by ``SubsetLattice.from_least``, and a generator
+The lattice is fixed by its least map i ↦ σ({i}) (Birkhoff), which
+``least_map`` reads off the deletion reaches; comparing two maps
+compares two lattices without listing either.  Two independent
+constructions of the members are kept side by side: the down-sets of
+that map, scanned by ``SubsetLattice.from_least``, and a generator
 route that reads σ off the tight supports of independent sets and
 scans the same way.  Each serves as the oracle for the other.
 """
@@ -77,21 +79,17 @@ def is_index_closed(system: SetSystem, iset: int) -> bool:
     return index_closure(system, iset) == iset
 
 
-def extension_lattice(system: SetSystem) -> SubsetLattice:
-    """All closed index sets: the down-sets of the least map.
+def least_map(system: SetSystem) -> list[int]:
+    """σ({i}) for each index i: the least closed index set holding i.
 
     Index k's deletion reach holds the indices that put k in the closure
     of any index set meeting them, so σ({i}) = {i} | {k : i in reach[k]},
-    read off the reaches in O(r^2) bit steps.  σ(I) is the union of the
-    σ({i}) for i in I, so I is closed exactly when it holds σ({i}) for
-    each of its indices; ``SubsetLattice.from_least`` walks all 2^r
-    index sets for those, and hands the lattice the map.
+    read off the cached reaches in O(r^2) bit steps.  The map fixes the
+    lattice (Birkhoff), so two presentations with r sets have equal
+    extension lattices exactly when their maps are equal.
     """
     require_full_rank(system)
-    r = system.r
-    if r > SCAN_LIMIT:
-        raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
-    least = [1 << i for i in range(r)]
+    least = [1 << i for i in range(system.r)]
     for k, d in enumerate(matching.deletion_reach(system).sets):
         bit = 1 << k
         rk = d.reach & ~bit  # least[k] holds k already
@@ -99,6 +97,20 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
             low = rk & -rk
             least[low.bit_length() - 1] |= bit
             rk ^= low
+    return least
+
+
+def extension_lattice(system: SetSystem) -> SubsetLattice:
+    """All closed index sets: the down-sets of the least map.
+
+    σ(I) is the union of the σ({i}) for i in I, so I is closed exactly
+    when it holds ``least_map(system)[i]`` for each of its indices;
+    ``SubsetLattice.from_least`` walks all 2^r index sets for those, and
+    hands the lattice the map.
+    """
+    least = least_map(system)
+    if system.r > SCAN_LIMIT:
+        raise ValueError(f"scan strategy capped at {SCAN_LIMIT} sets")
     return SubsetLattice.from_least(least)
 
 

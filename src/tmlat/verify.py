@@ -438,8 +438,10 @@ def check_charmin(r: int = 4, trials: int = 200,
                   seed: int = 20240406) -> VerdictReport:
     """Minimality of a presentation is equivalent to a full powerset lattice.
 
-    Also cross-checks the two lattice constructions and the circuit
-    support identity on every sampled instance.
+    Also checks the extension lattice's least map against
+    ``index_closure`` of each singleton, and cross-checks the two lattice
+    constructions and the circuit support identity, on every sampled
+    instance.
     """
     if not 2 <= r <= 8:
         raise ValueError("charmin checks run for 2 <= r <= 8")
@@ -452,7 +454,10 @@ def check_charmin(r: int = 4, trials: int = 200,
         system = random_presentation(rr, nn, density=rng.uniform(0.3, 0.9), rng=rng)
         rep.instances += 1
         lat = extlattice.extension_lattice(system)
-        _check_closed(rep, lat, f"trial {t}: extension lattice")
+        for i, m in lat.least_containing().items():
+            if extlattice.index_closure(system, 1 << i) != m:
+                rep.fail(f"trial {t}: least map misses the closure of "
+                         f"{{{i + 1}}} on {system.set_labels()}")
         if is_minimal(system) != (len(lat) == 1 << rr):
             rep.fail(f"trial {t}: minimality vs lattice size on {system.set_labels()}")
         gen = extlattice.extension_lattice_from_supports(system)
@@ -728,7 +733,12 @@ def _is_uniform(system: SetSystem) -> bool:
 
 
 def check_roundtrip(max_points: int = 4) -> VerdictReport:
-    """Both constructions realize every small distributive lattice."""
+    """Both constructions realize every small distributive lattice.
+
+    A distributive lattice is fixed by its least map (Birkhoff), so a
+    build realizes ``lat`` exactly when its ``least_map`` equals the map
+    ``lat`` was built from; no build's lattice is listed.
+    """
     t0 = time.perf_counter()
     rep = VerdictReport("roundtrip")
     for lat in _all_poset_lattices(max_points):
@@ -736,18 +746,19 @@ def check_roundtrip(max_points: int = 4) -> VerdictReport:
         r = lat.r
         if r == 0:
             continue
+        least = lat.least_containing()
+        sigma = list(least.values())
         built = build_maximal_presentation(lat)
-        if extlattice.extension_lattice(built).members != lat.members:
+        if extlattice.least_map(built) != sigma:
             rep.fail(f"maximal build misses the lattice at r={r}: "
                      f"{sorted(map(_indices, lat.members))}")
         if addable_pairs(built):
             rep.fail(f"maximal build is not maximal at r={r}")
-        least = lat.least_containing()
         for n in (r, r + 1, r + 2):
             system = build_uniform_presentation(lat, n)
             if not _is_uniform(system):
                 rep.fail(f"uniform build is not uniform at r={r}, n={n}")
-            if extlattice.extension_lattice(system).members != lat.members:
+            if extlattice.least_map(system) != sigma:
                 rep.fail(f"uniform build misses the lattice at r={r}, n={n}")
             for i, m in least.items():
                 if system.support(1 << i) != m:

@@ -4,7 +4,8 @@ These deliberately avoid augmenting paths: rank is computed by direct
 recursion over assignment choices, independence by checking the
 counting condition on every subset.  The closed index sets are found
 by testing every outside index of every index set, from a list of
-those indices.  The catalog lattices are the powerset with each
+those indices, and the reaches they test come from every assignment of
+elements to sets.  The catalog lattices are the powerset with each
 interval tested on every subset, and an order's transitive closure is
 a fixpoint over its points.  Family closure is a plain fixpoint over
 all pairs (under intersection alone, the oracle of the support route
@@ -13,7 +14,8 @@ generator family from the one without its lowest member, and the lattice read-of
 occurrences, meet-irreducibles) compare members pairwise or
 triplewise, and the Hasse diagram's DOT text is written from them.
 The maximal presentation of a lattice gives a block to every nonempty
-member, not only to each join-irreducible.  The moves
+member, not only to each join-irreducible, and the uniform one fills
+each set by its own pass over the least map.  The moves
 between presentations re-match every basis after each single change,
 or re-match the deletion of a set without each outside element.  The
 verify suites' inputs and checks come from the walks they replaced:
@@ -335,6 +337,28 @@ def brute_closed_sets(reach) -> list[int]:
     return members
 
 
+def brute_reach(system) -> list[int]:
+    """``reach[k]``: the indices i such that a new element in set i alone
+    raises the rank of E - A_k, the elements outside the k-th set.
+
+    Every assignment of those elements to distinct sets is grown one
+    element at a time as the mask of the sets it fills; the rank is the
+    largest mask's size, and the new element raises it exactly when
+    some largest mask misses i.
+    """
+    reach = []
+    for a in system.sets:
+        filled = {0}
+        for e in bit_indices(system.ground.full_mask & ~a):
+            sup = system.support(1 << e)
+            filled |= {u | 1 << j for u in filled for j in bit_indices(sup & ~u)}
+        top = max(u.bit_count() for u in filled)
+        reach.append(mask_of(i for i in range(system.r)
+                             if any(u.bit_count() == top and not u >> i & 1
+                                    for u in filled)))
+    return reach
+
+
 def _interval_hits(x: int, low: int, high_out: int) -> bool:
     """Is x in the interval [low, complement of high_out]?"""
     return x & low == low and x & high_out == 0
@@ -589,6 +613,18 @@ def brute_poset_lattices(max_points: int):
             if lat.members not in seen:
                 seen.add(lat.members)
                 yield lat
+
+
+def brute_build_uniform(lat, n: int) -> SetSystem:
+    """``build_uniform_presentation`` by one generator pass per set: set
+    i holds each j < r whose least member holds i, and every element
+    from r on."""
+    r = lat.r
+    least = lat.least_containing()
+    tail = ((1 << n) - 1) & ~((1 << r) - 1)
+    sets = tuple(tail | mask_of(j for j, m in least.items() if m >> i & 1)
+                 for i in range(r))
+    return SetSystem(GroundSet(tuple(str(i + 1) for i in range(n))), sets)
 
 
 def brute_is_uniform(system, r: int, n: int) -> bool:

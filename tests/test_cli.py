@@ -467,6 +467,21 @@ def test_lattice_rank_out_of_range_exits_3(capsys, tmp_path, r):
     assert err == f"error: r = {r} lies outside 0..32\n"
 
 
+@pytest.mark.parametrize("n, message", [
+    (20, "system of 21 sets presents a matroid of rank 20"),
+    (21, "scan strategy capped at 20 sets"),
+])
+def test_lattice_checks_full_rank_before_the_scan_cap(capsys, tmp_path, n,
+                                                      message):
+    """21 sets, one element each, on n elements: a rank-deficient system
+    gets the full-rank message, not the cap's."""
+    names = [f"e{i}" for i in range(n)]
+    pres = tmp_path / "wide.json"
+    pres.write_text(json.dumps(
+        {"ground": names, "sets": [[names[i % n]] for i in range(21)]}))
+    assert run(capsys, "lattice", str(pres)) == (3, "", f"error: {message}\n")
+
+
 # Labels are JSON strings or integers.  Each value below reads under str()
 # as a Python repr ("None", "True", "1.5", "{'a': 1}", "['b']"); in the set
 # case the ground holds that repr, so a reader that applies str() to

@@ -15,7 +15,8 @@ from tmlat.extlattice import extension_lattice, hasse_dot, irreducibles
 from tmlat.presentations import is_maximal
 from tmlat.verify import _all_poset_lattices, census_sublattices
 
-from .oracles import (brute_covers, brute_first_occurrence, brute_hasse_dot,
+from .oracles import (brute_build_uniform, brute_covers,
+                      brute_first_occurrence, brute_hasse_dot,
                       brute_heights, brute_maximal_presentation,
                       brute_meet_irreducibles, brute_transitive_closure,
                       brute_validate_lattice)
@@ -120,6 +121,17 @@ def test_build_uniform_support_law():
     system = build_uniform_presentation(lat, 8)
     for i, m in lat.least_containing().items():
         assert system.support(1 << i) == m
+
+
+def test_build_uniform_matches_the_generator_passes():
+    """One pass over the least map's bits fills the same sets as one
+    generator pass per set, on every labeled poset lattice on one to
+    five points, for n = r .. r + 3."""
+    for lat in _all_poset_lattices(5):
+        if not lat.r:  # no set system has zero sets
+            continue
+        for n in range(lat.r, lat.r + 4):
+            assert build_uniform_presentation(lat, n) == brute_build_uniform(lat, n)
 
 
 def test_build_maximal_rank5_samples():

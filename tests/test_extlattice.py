@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tmlat import core, extlattice, matching
-from tmlat.constructions import build_maximal_presentation
+from tmlat.constructions import (build_maximal_presentation,
+                                 build_uniform_presentation)
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         make_system, mask_of)
 from tmlat.extlattice import (common_extension_lattice, extend,
@@ -13,14 +14,15 @@ from tmlat.extlattice import (common_extension_lattice, extend,
                               extension_lattice_from_supports,
                               extension_matroid, extension_matroids,
                               hasse_dot, index_closure, irreducibles,
-                              is_index_closed, tight_supports)
+                              is_index_closed, least_map, tight_supports)
 from tmlat.matroid import Matroid
-from tmlat.presentations import preceq
+from tmlat.presentations import _with_bit, preceq
 from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
                           disjoint_support_pair, presentation_walk,
                           random_presentation, sharp_common_pair)
 
-from .oracles import (brute_circuit_through, brute_common_extension_lattice,
+from .oracles import (brute_circuit_through, brute_closed_sets,
+                      brute_common_extension_lattice, brute_reach,
                       brute_tight_supports, cyclic_flat_supports,
                       intersection_closure, is_cyclic, iterated_extend)
 
@@ -200,6 +202,53 @@ def test_support_route_is_the_intersection_closure(system):
     assert lat.least is not None  # handed in: no call has computed it yet
     assert lat.members == intersection_closure(tight, system.r)
     assert dict(lat.least_containing()) == core.least_containing(lat.members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_presentations())
+def test_least_map_is_that_of_the_brute_closed_sets(system):
+    """σ({i}) is the intersection of the closed sets holding i, the closed
+    sets found from reaches that every assignment of elements gives."""
+    closed = brute_closed_sets(brute_reach(system))
+    want = []
+    for i in range(system.r):
+        least = system.full_index_mask
+        for c in closed:
+            if c >> i & 1:
+                least &= c
+        want.append(least)
+    assert least_map(system) == want
+
+
+@st.composite
+def equal_rank_pairs(draw):
+    """A seeded presentation and another with as many sets: drawn on its
+    own, built from the first one's lattice, or the first grown by one
+    element."""
+    a = draw(seeded_presentations())
+    kind = draw(st.sampled_from(["drawn", "maximal", "uniform", "grown"]))
+    if kind == "drawn":
+        b = random_presentation(a.r, draw(st.integers(a.r, 14)),
+                                draw(st.floats(0.3, 0.9)),
+                                seed=draw(st.integers(0, 2 ** 32 - 1)))
+    elif kind == "maximal":
+        b = build_maximal_presentation(extension_lattice(a))
+    elif kind == "uniform":
+        b = build_uniform_presentation(extension_lattice(a),
+                                       a.r + draw(st.integers(0, 3)))
+    else:
+        i = draw(st.integers(0, a.r - 1))
+        b = _with_bit(a, i, draw(st.integers(0, a.ground.n - 1)), True)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_rank_pairs())
+def test_equal_least_maps_exactly_when_equal_lattices(pair):
+    a, b = pair
+    same = extension_lattice(a).members == extension_lattice(b).members
+    event(f"equal lattices: {same}")
+    assert (least_map(a) == least_map(b)) == same
 
 
 def test_minimal_presentation_gives_powerset(u34_minimal):

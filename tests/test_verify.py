@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tmlat import verify
+from tmlat import extlattice, verify
 from tmlat.constructions import build_uniform_presentation
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
-                        mask_of)
+                        family_key, mask_of)
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import (is_minimal, presentation_rank,
@@ -375,6 +376,74 @@ def test_maximal_sublattices_match_the_pair_scan():
 def test_check_roundtrip_small():
     rep = check_roundtrip(3)
     assert rep.ok and rep.instances == 24
+
+
+def test_roundtrip_reports_a_uniform_build_off_the_lattice(monkeypatch):
+    """Drop one membership from each uniform build whose least map is not
+    the identity: element j leaves the highest other set of ``least[j]``."""
+    real = verify.build_uniform_presentation
+
+    def dropped(lat, n):
+        system = real(lat, n)
+        for j, m in lat.least_containing().items():
+            rest = m & ~(1 << j)
+            if rest:
+                sets = list(system.sets)
+                sets[rest.bit_length() - 1] &= ~(1 << j)
+                return dataclasses.replace(system, sets=tuple(sets))
+        return system
+
+    monkeypatch.setattr(verify, "build_uniform_presentation", dropped)
+    rep = check_roundtrip(3)
+    assert "uniform build misses the lattice at r=2, n=2" in rep.failures
+
+
+def test_roundtrip_reports_a_maximal_build_off_the_lattice(monkeypatch):
+    """Drop from each maximal build the block of its first join-irreducible
+    lying under another, whose indices the larger block still matches."""
+    real = verify.build_maximal_presentation
+
+    def dropped(lat):
+        system = real(lat)
+        joins = sorted(set(lat.least_containing().values()) - {0},
+                       key=family_key)
+        under = [j for j in joins if any(j != k and j & k == j for k in joins)]
+        if not under:
+            return system
+        start = sum(j.bit_count() + 1 for j in joins[:joins.index(under[0])])
+        block = ((1 << (under[0].bit_count() + 1)) - 1) << start
+        return dataclasses.replace(
+            system, sets=tuple(a & ~block for a in system.sets))
+
+    monkeypatch.setattr(verify, "build_maximal_presentation", dropped)
+    rep = check_roundtrip(3)
+    assert ("maximal build misses the lattice at r=2: ['{1,2}', '{1}', '{}']"
+            in rep.failures)
+
+
+def test_roundtrip_scans_only_the_poset_lattices(monkeypatch):
+    """One ``from_least`` per labeled poset on at most four points; the
+    builds are checked by their least maps, not by scanning a lattice."""
+    real = SubsetLattice.from_least.__func__
+    calls = []
+
+    def counting(cls, least):
+        calls.append(least)
+        return real(cls, least)
+
+    monkeypatch.setattr(SubsetLattice, "from_least", classmethod(counting))
+    rep = check_roundtrip(4)
+    assert rep.ok and rep.instances == 243
+    assert len(calls) == 243
+
+
+def test_charmin_checks_the_least_map_against_index_closure(monkeypatch):
+    """A ``least_map`` that returns the identity builds the powerset, whose
+    map ``index_closure`` refutes on a presentation that is not minimal."""
+    monkeypatch.setattr(extlattice, "least_map",
+                        lambda system: [1 << i for i in range(system.r)])
+    rep = check_charmin(r=3, trials=10, seed=7)
+    assert any(" least map misses the closure of {" in f for f in rep.failures)
 
 
 def test_report_shape():
