@@ -1,12 +1,11 @@
 """Brute-force oracles and checkers for the size and intersection bounds.
 
-The census enumerates every union/intersection-closed family over [r]
-by closing all 2^(2^r) generator families (r <= 4), deduplicating up to
-coordinate permutation.  Closure does not depend on the order in which
-members are added, so the families whose highest member is x close to
-the closures of the families below 2^x, each with x added: the table
-grows one block per subset x through a map over the distinct closed
-families, not one closure step per generator family.  The census is
+The census lists every union/intersection-closed family over [r]
+(r <= 5), deduplicating up to coordinate permutation.  By Birkhoff such
+a family is its bottom joined with the down-sets of a poset on the
+blocks of indices its members hold together, so the census reads each
+family off one labeled poset of ``_all_poset_lattices``, the generator
+the roundtrip check walks: no closure step is taken.  The census is
 the independent oracle for the catalog of large sublattices; the
 sharpness builders realize presentations that meet each bound with
 equality.  All randomized sweeps are seeded and report their seeds.
@@ -30,9 +29,9 @@ from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideal_lattice,
                             validate_lattice)
 
-# The census table has one entry per generator family, 2^(2^r) of them,
-# built in 2^r blocks (one per highest member); r = 5 would need 2^32.
-CENSUS_LIMIT = 4
+# The census walks every labeled poset on at most r blocks; r = 6 would
+# need 130,023 posets on six points and hold 319,987 families.
+CENSUS_LIMIT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -116,44 +115,43 @@ def family_members(fmask: int) -> frozenset[int]:
     return frozenset(bit_indices(fmask))
 
 
-def _add_member(closed: int, x: int, full: int) -> int:
-    """Closure of a closed family plus one subset ``x``.
-
-    In a distributive ambient lattice every word in x and the old
-    members reduces to (x & a) | b, so one pass over those pairs closes.
-    """
-    if closed & (1 << x):
-        return closed
-    out = closed | (1 << x)
-    members = bit_indices(closed)
-    for a in members + [full]:
-        xa = x & a
-        out |= 1 << xa
-        for b in members:
-            out |= 1 << (xa | b)
-    return out
-
-
 @lru_cache(maxsize=8)
 def closed_family_table(r: int) -> tuple[int, ...]:
-    """For every generator family over [r], its union/intersection closure.
+    """Every nonempty union/intersection-closed family over [r], ascending.
 
-    Entry ``fam`` closes the subsets whose bits ``fam`` sets.  The
-    families with highest member x are the families f < 2^x with x
-    added, and the closure of f plus x is the closure of (closure of f)
-    plus x, whatever order the members came in.  So block
-    ``table[2^x : 2^(x+1)]`` is ``table[:2^x]`` mapped through one dict
-    that adds x to each distinct closed family: at most 2^r closure
-    steps per distinct family, and a C-level map for the rest.
+    A family with bottom b and top t is b joined with the down-sets of a
+    preorder on t - b, and a preorder is a poset on its classes: the
+    blocks of indices that every member holds together or misses
+    together.  So each index goes to the bottom, above the top, or into
+    one of k blocks numbered by their least index, and each labeled
+    poset on the k blocks sends its down-set D to b joined with the
+    blocks of D.  Each family comes from exactly one placement and one
+    poset.  The name is kept because ``bench/spans.py`` times the census
+    under it.
     """
     if r > CENSUS_LIMIT:
-        raise ValueError(f"census closure table capped at r = {CENSUS_LIMIT}")
-    full = (1 << r) - 1
-    table = [0]
-    for x in range(1 << r):
-        step = {c: _add_member(c, x, full) for c in set(table)}
-        table += list(map(step.__getitem__, table))
-    return tuple(table)
+        raise ValueError(f"census capped at r = {CENSUS_LIMIT}")
+    ideals = [[] for _ in range(r + 1)]
+    for lat in _all_poset_lattices(r):
+        ideals[lat.r].append(lat.members)
+    placements = [(0, ())]
+    for i in range(r):
+        bit = 1 << i
+        grown = []
+        for bottom, blocks in placements:
+            grown += [(bottom | bit, blocks), (bottom, blocks),
+                      (bottom, blocks + (bit,))]
+            grown += [(bottom, blocks[:j] + (b | bit,) + blocks[j + 1:])
+                      for j, b in enumerate(blocks)]
+        placements = grown
+    families = []
+    for bottom, blocks in placements:
+        image = [bottom]
+        for b in blocks:
+            image += [m | b for m in image]
+        families += [mask_of(image[d] for d in members)
+                     for members in ideals[len(blocks)]]
+    return tuple(sorted(families))
 
 
 @lru_cache(maxsize=8)
@@ -182,19 +180,11 @@ def canonical_family(fmask: int, r: int) -> int:
     return best
 
 
-@lru_cache(maxsize=8)
-def distinct_closed_families(r: int) -> tuple[int, ...]:
-    """The nonempty closed families over [r], ascending; built once per r."""
-    return tuple(sorted(set(closed_family_table(r)) - {0}))
-
-
 def census_sublattices(r: int, min_size: int) -> list[SubsetLattice]:
-    """All closed families with more than min_size members, up to permutation."""
-    classes = {}
-    for fmask in distinct_closed_families(r):
-        if fmask.bit_count() > min_size:
-            classes.setdefault(canonical_family(fmask, r), fmask)
-    reps = sorted(classes.keys())
+    """All closed families with more than min_size members, up to
+    permutation: one per class, its canonical representative, ascending."""
+    reps = sorted({canonical_family(f, r) for f in closed_family_table(r)
+                   if f.bit_count() > min_size})
     return [SubsetLattice(r, family_members(k)) for k in reps]
 
 
@@ -210,7 +200,7 @@ def maximal_proper_sublattices(lat: SubsetLattice) -> list[frozenset[int]]:
     enough.
     """
     lmask = mask_of(lat.members)
-    cands = sorted((f for f in distinct_closed_families(lat.r)
+    cands = sorted((f for f in closed_family_table(lat.r)
                     if f != lmask and f & ~lmask == 0),
                    key=int.bit_count, reverse=True)
     out: list[int] = []
@@ -610,10 +600,10 @@ def check_intersection(r: int = 4, trials: int = 50,
         if len(common.lattice_ab) > bound:
             rep.fail(f"pair #{done}: {len(common.lattice_ab)} > {bound}")
         order = dict(common.pairs)
-        for i1 in common.lattice_ab.members:
-            for i2 in common.lattice_ab.members:
-                if (i1 & i2 == i1) != (order[i1] & order[i2] == order[i1]):
-                    rep.fail(f"pair #{done}: matching is not an order isomorphism")
+        members = common.lattice_ab.members
+        if any((i1 & i2 == i1) != (order[i1] & order[i2] == order[i1])
+               for i1 in members for i2 in members):
+            rep.fail(f"pair #{done}: matching is not an order isomorphism")
     if done < trials:
         rep.fail(f"only {done} qualifying pairs found in {attempts} attempts")
     rep.elapsed = time.perf_counter() - t0
@@ -629,7 +619,7 @@ def check_classification(r: int = 4) -> VerdictReport:
     half = 1 << (r - 1)
     census = census_sublattices(r, half)
     rep.instances += 1
-    got = {canonical_family(mask_of(lat.members), r) for lat in census}
+    got = {mask_of(lat.members) for lat in census}
     full_family = canonical_family(mask_of(range(1 << r)), r)
     want = catalog_classes(r) | {full_family}
     for c in catalog(r):
@@ -663,7 +653,7 @@ def check_classification(r: int = 4) -> VerdictReport:
         rep.instances += 1
         vee = mask_of(catalog_lattice("two_implications", r).lattice.members)
         five_eighths = 5 << (r - 3)
-        for f in distinct_closed_families(r):
+        for f in closed_family_table(r):
             if f.bit_count() == five_eighths and vee & ~f == 0:
                 rep.fail("the two-implication lattice fits inside a "
                          "five-eighths sublattice")

@@ -54,8 +54,7 @@ from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
 from tmlat.matroid import ENUM_LIMIT, Matroid, _cocircuit_search
 from tmlat.presentations import (_with_bit, is_maximal, preceq,
                                  require_full_rank)
-from tmlat.verify import (_add_member, distinct_closed_families,
-                          family_members)
+from tmlat.verify import closed_family_table, family_members
 
 
 def submasks(mask: int):
@@ -643,11 +642,29 @@ def brute_is_uniform(system, r: int, n: int) -> bool:
 def brute_maximal_sublattices(lat):
     """Maximal proper nonempty sublattices, every candidate pair compared."""
     lmask = mask_of(lat.members)
-    cands = [f for f in distinct_closed_families(lat.r)
+    cands = [f for f in closed_family_table(lat.r)
              if f != lmask and f & ~lmask == 0]
     out = [f for f in cands
            if not any(g != f and f & ~g == 0 for g in cands)]
     return [family_members(f) for f in sorted(out)]
+
+
+def _add_member(closed: int, x: int, full: int) -> int:
+    """Closure of a closed family plus one subset ``x``.
+
+    In a distributive ambient lattice every word in x and the old
+    members reduces to (x & a) | b, so one pass over those pairs closes.
+    """
+    if closed & (1 << x):
+        return closed
+    out = closed | (1 << x)
+    members = bit_indices(closed)
+    for a in members + [full]:
+        xa = x & a
+        out |= 1 << xa
+        for b in members:
+            out |= 1 << (xa | b)
+    return out
 
 
 def brute_closed_family_table(r):

@@ -244,6 +244,24 @@ def test_verify_all_json_golden(capsys):
     assert out == json.dumps(VERIFY_ALL_GOLDEN, indent=2) + "\n"
 
 
+# The census reaches r = 5: every closed family, one per labeled poset on
+# at most five blocks.
+@pytest.mark.parametrize("flags, want", [
+    ([], "[classification] instances=5 failures=0\n"),
+    (["--json"], json.dumps([VERIFY_ALL_GOLDEN[3]], indent=2) + "\n"),
+])
+def test_verify_classification_at_r5_golden(capsys, flags, want):
+    code, out, err = run(capsys, "verify", "classification", "--r", "5",
+                         *flags)
+    assert (code, out) == (0, want)
+    assert err.startswith("[classification] elapsed ") and err.count("\n") == 1
+
+
+def test_verify_classification_above_the_census_cap_exits_3(capsys):
+    assert run(capsys, "verify", "classification", "--r", "6") == (
+        3, "", "error: classification runs for 2 <= r <= 5\n")
+
+
 def test_verify_roundtrip_fails_a_non_uniform_build(capsys, monkeypatch):
     """Drop the last tail element from the first set of every uniform build."""
     from tmlat import verify

@@ -18,8 +18,7 @@ from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           census_sublattices, check_charmin, check_classification,
                           check_intersection, check_roundtrip,
                           check_threequarters, closed_family_table,
-                          disjoint_support_pair, distinct_closed_families,
-                          family_members,
+                          disjoint_support_pair, family_members,
                           interval_predicted_sublattices,
                           maximal_proper_sublattices, near_uniform_minimal,
                           presentation_walk, random_presentation,
@@ -92,7 +91,7 @@ def test_catalog_membership_rules():
 
 
 def test_closure_table_matches_naive_r3():
-    table = closed_family_table(3)
+    table = brute_closed_family_table(3)
     for fam in range(1 << 8):
         naive = union_intersection_closure(set(bit_indices(fam)), 3) \
             if fam else frozenset()
@@ -100,7 +99,7 @@ def test_closure_table_matches_naive_r3():
 
 
 def test_closure_table_matches_naive_r4_sampled():
-    table = closed_family_table(4)
+    table = brute_closed_family_table(4)
     rng = random.Random(23)
     for _ in range(300):
         fam = rng.randrange(1 << 16)
@@ -111,23 +110,20 @@ def test_closure_table_matches_naive_r4_sampled():
 
 @pytest.mark.parametrize("r", range(5))
 def test_closure_table_equals_lowest_member_recurrence(r):
-    assert closed_family_table(r) == brute_closed_family_table(r)
+    """The census is the distinct nonempty closures of every generator
+    family, ascending, each once."""
+    assert closed_family_table(r) == tuple(
+        sorted(set(brute_closed_family_table(r)) - {0}))
 
 
-def test_closure_table_steps_once_per_block_and_closed_family(monkeypatch):
-    calls = Counter()
-    add_member = verify._add_member
-
-    def counted(closed, x, full):
-        calls["add"] += 1
-        return add_member(closed, x, full)
-
-    monkeypatch.setattr(verify, "_add_member", counted)
-    closed_family_table.cache_clear()
-    distinct_closed_families.cache_clear()
-    table = closed_family_table(4)
-    assert len(table) == 1 << 16
-    assert 0 < calls["add"] <= 16 * len(set(table))
+def test_census_at_r5_is_every_closed_family_once():
+    """12,084 = sum over k of C(5,k) 2^(5-k) T(k), T the labeled preorders."""
+    table = closed_family_table(5)
+    assert len(table) == len(set(table)) == 12084
+    for f in table:
+        members = bit_indices(f)
+        assert all(f >> (a | b) & 1 and f >> (a & b) & 1
+                   for a in members for b in members)
 
 
 def test_census_classes():
@@ -216,7 +212,7 @@ def test_sharp_chain_cover_chain_length():
 
 def test_census_cap():
     with pytest.raises(ValueError):
-        census_sublattices(5, 16)
+        census_sublattices(6, 32)
 
 
 def test_sharp_chain_lattice_shape():
@@ -310,6 +306,28 @@ def test_check_intersection_passes():
     assert rep.ok
 
 
+def test_intersection_reports_a_broken_matching_once_per_pair(monkeypatch):
+    """Swap the partners of the first two equal-size members: sizes still
+    match, but one sampled pair's matching is no longer an order
+    isomorphism, and that pair gets one failure line."""
+    real = extlattice.common_extension_lattice
+
+    def swapped(a, b):
+        common = real(a, b)
+        pairs = list(common.pairs)
+        for x in range(len(pairs)):
+            for y in range(x):
+                if pairs[x][0].bit_count() == pairs[y][0].bit_count():
+                    (i, j), (k, m) = pairs[y], pairs[x]
+                    pairs[y], pairs[x] = (i, m), (k, j)
+                    return dataclasses.replace(common, pairs=tuple(pairs))
+        return common
+
+    monkeypatch.setattr(extlattice, "common_extension_lattice", swapped)
+    rep = check_intersection(r=4, trials=5, seed=1)
+    assert rep.failures == ["pair #5: matching is not an order isomorphism"]
+
+
 def test_check_classification_passes():
     for r in (3, 4):
         rep = check_classification(r)
@@ -366,7 +384,7 @@ def test_is_uniform_matches_the_subset_scan(system):
 def test_maximal_sublattices_match_the_pair_scan():
     """Every closed family at r <= 3, and the r = 4 lattices classification uses."""
     lattices = [SubsetLattice(r, family_members(f)) for r in (1, 2, 3)
-                for f in distinct_closed_families(r)]
+                for f in closed_family_table(r)]
     lattices += [SubsetLattice(4, frozenset(range(16))),
                  catalog_lattice("implication_chain", 4, 1).lattice]
     for lat in lattices:
