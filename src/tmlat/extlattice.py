@@ -244,8 +244,12 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
         out = {}
         for i in extension_lattice(system).sorted_members():
             ext = extend(system, i, label)
-            dels = matching.deletion_pass(ext, sup + (i,)).sets
-            out[i] = tuple(sorted(s | d.coloops for s, d in zip(ext.sets, dels)))
+            ext_sup = sup + (i,)
+            full = ext.ground.full_mask
+            dels = matching.deletion_pass(ext, ext_sup).sets
+            out[i] = tuple(sorted(
+                s | matching.coloop_mask(full & ~s, d.matching, ext_sup)
+                for s, d in zip(ext.sets, dels)))
         return out
 
     by_key = {key: j for j, key in keys(b).items()}

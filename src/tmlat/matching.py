@@ -11,18 +11,22 @@ search visited stay skipped until the next augmentation: no alternating
 path leaves them while the matching stands.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
-visited (``fundamental_circuit``, which takes the matching and makes
-none).  ``deletion_pass`` reads what one maximum matching of E - A_k
-shows for each set k of a system: the rank of E - A_k, the set indices
-from which an augmenting path exists, and the coloops of M|(E - A_k);
-the same pass grows the first of those matchings into one of E for the
-rank of the whole system.  The pass keeps every one of those matchings,
-read-only, so a caller that needs a basis of E or of some E - A_k reads
-it there.  ``deletion_reach`` memoizes it.  Closure scans, the moves
-between presentations, the full-rank check and the circuit-support
-certificate reduce to reading those numbers, bit tests against those
-masks, and searches on copies of those matchings.  ``max_matching``
-hands a matching out as its sorted (element, set index) pairs.
+would visit.  ``fundamental_circuit`` reads those sets off the matching
+as a closure, without searching: from the fresh element's sets, on to
+every set holding an element matched to a set reached, stopping at the
+first unmatched set, where the search would have succeeded.
+``deletion_pass`` reads what one maximum matching of E - A_k shows for
+each set k of a system: the rank of E - A_k and the set indices from
+which an augmenting path exists; the same pass grows the first of those
+matchings into one of E for the rank of the whole system.  The pass
+keeps every one of those matchings, read-only, so a caller that needs
+a basis of E or of some E - A_k reads it there, and a caller that needs
+the coloops of M|(E - A_k) reads them off it with ``coloop_mask``.
+``deletion_reach`` memoizes the pass.  Closure scans, the moves between
+presentations, the full-rank check and the circuit-support certificate
+reduce to reading those numbers, bit tests against those masks, and
+closures over those matchings.  ``max_matching`` hands a matching out
+as its sorted (element, set index) pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import SetSystem, bit_indices, mask_of
+from .core import SetSystem
 
 
 @lru_cache(maxsize=4096)
@@ -40,8 +44,11 @@ def element_supports(system: SetSystem) -> tuple[int, ...]:
     """For each element index, the mask of set indices containing it."""
     sup = [0] * system.ground.n
     for i, a in enumerate(system.sets):
-        for e in bit_indices(a):
-            sup[e] |= 1 << i
+        bit = 1 << i
+        while a:
+            low = a & -a
+            sup[low.bit_length() - 1] |= bit
+            a ^= low
     return tuple(sup)
 
 
@@ -128,18 +135,28 @@ def fundamental_circuit(system: SetSystem, independent: Mapping[int, int],
 
     ``independent`` is a maximum matching of the independent set, as a
     map from set index to element, so it covers every element of the
-    set.  One augmenting search from the fresh element, on a copy,
-    decides.  If the search succeeds the union is independent and the
-    answer is None.  Otherwise the circuit is the fresh element plus the
-    elements matched to the sets the search visited: the elements it can
-    replace.
+    set.  An augmenting search from the fresh element would visit the
+    sets its alternating paths reach: those of ``adjacency``, then those
+    holding an element matched to a set reached.  The search succeeds,
+    the union is independent and the answer is None, exactly when one of
+    those sets is unmatched.  Otherwise the circuit is the fresh element
+    plus the elements matched to the reached sets: the elements it can
+    replace.  The closure reads the matching and changes nothing.
     """
-    owner = dict(independent)
-    sup = element_supports(system) + (adjacency,)
-    visited = [0]
-    if _augment_rec(sup, owner, system.ground.n, visited):
-        return None
-    return mask_of(owner[j] for j in bit_indices(visited[0]))
+    sup = element_supports(system)
+    seen = todo = adjacency
+    circuit = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        e = independent.get(low.bit_length() - 1)
+        if e is None:
+            return None
+        circuit |= 1 << e
+        new = sup[e] & ~seen
+        seen |= new
+        todo |= new
+    return circuit
 
 
 def max_matching(system: SetSystem, x_mask: int) -> tuple[tuple[int, int], ...]:
@@ -179,7 +196,7 @@ def reach_mask(system: SetSystem, owner: dict[int, int],
     return good
 
 
-def coloop_mask(x_mask: int, owner: dict[int, int],
+def coloop_mask(x_mask: int, owner: Mapping[int, int],
                 sup: tuple[int, ...]) -> int:
     """Elements of ``x_mask`` in every basis of M|x_mask: its coloops.
 
@@ -213,11 +230,14 @@ def coloop_mask(x_mask: int, owner: dict[int, int],
 
 
 class Deletion(NamedTuple):
-    """What a maximum matching of E - A_k shows about M|(E - A_k)."""
+    """What a maximum matching of E - A_k shows about M|(E - A_k).
+
+    The coloops of M|(E - A_k) are not kept: a caller that needs them
+    reads ``coloop_mask(full & ~A_k, matching, sup)`` off the matching.
+    """
 
     rank: int
     reach: int  # set indices an augmenting path can start from
-    coloops: int
     matching: Mapping[int, int]  # that matching, set index to element
 
 
@@ -232,16 +252,18 @@ class Deletions(NamedTuple):
 
 def deletion_pass(system: SetSystem,
                   sup: tuple[int, ...] | None = None) -> Deletions:
-    """Rank, reach mask, coloops and matching of each E - A_k, and the
-    rank and a matching of E.
+    """Rank, reach mask and matching of each E - A_k, and the rank and a
+    matching of E.
 
     The matching of E grows a copy of the matching of E - A_0 by the
     elements of A_0, so the whole pass makes one matching per set.  Each
     matching is kept as a read-only map from set index to element, which
     the cache can hand to every caller unchanged.  The element supports
     are read once (``sup`` defaults to ``element_supports``) and handed
-    to every step of the pass.  This is the uncached pass, for systems
-    no later call asks about again; ``deletion_reach`` caches it.
+    to every step of the pass.  Coloops are left to the callers that
+    need them, so callers that read only ranks and reaches pay nothing
+    for them.  This is the uncached pass, for systems no later call asks
+    about again; ``deletion_reach`` caches it.
     """
     full = system.ground.full_mask
     if sup is None:
@@ -251,9 +273,8 @@ def deletion_pass(system: SetSystem,
     whole = _max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
     return Deletions(len(whole), tuple(
         Deletion(len(owner), reach_mask(system, owner, sup),
-                 coloop_mask(full & ~a, owner, sup),
                  MappingProxyType(owner))
-        for a, owner in zip(system.sets, owners)), MappingProxyType(whole))
+        for owner in owners), MappingProxyType(whole))
 
 
 @lru_cache(maxsize=4096)

@@ -60,11 +60,16 @@ def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     """(set index, element) pairs whose addition preserves the matroid.
 
     Adding e to the i-th set is sound exactly when e is a coloop of the
-    deletion of that set, which the cached matching pass records.
+    deletion of that set, which ``coloop_mask`` reads off the matching
+    of that deletion the cached pass keeps.
     """
     require_full_rank(system)
-    return [(i, e) for i, d in enumerate(matching.deletion_reach(system).sets)
-            for e in bit_indices(d.coloops)]
+    full = system.ground.full_mask
+    sup = matching.element_supports(system)
+    dels = matching.deletion_reach(system).sets
+    return [(i, e) for i, (a, d) in enumerate(zip(system.sets, dels))
+            for e in bit_indices(
+                matching.coloop_mask(full & ~a, d.matching, sup))]
 
 
 def _with_bit(system: SetSystem, i: int, e: int, on: bool) -> SetSystem:

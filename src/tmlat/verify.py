@@ -309,14 +309,15 @@ def circuit_support_identity(system: SetSystem, iset: int) -> bool:
     closed set, and for each outside index h some circuit avoids it; a
     witness circuit per index is built from a basis of the deletion
     E - A_h, so no circuit enumeration is needed.  Each witness is the
-    fundamental circuit of the new element over a basis, read off one
-    failed augmenting search from the new element on a copy of a
-    maximum matching of that basis.  The bases and their matchings are
-    the ones the cached ``matching.deletion_reach`` pass keeps, of E and
-    of each E - A_h, so no matching is made and no rank query either;
-    the new element is never adjoined.  The identity holds for any
-    choice of bases, so which maximum matchings the pass keeps changes
-    no verdict.
+    fundamental circuit of the new element over a basis, read off a
+    maximum matching of that basis by ``matching.fundamental_circuit``:
+    the sets an augmenting search from the new element would visit, as a
+    closure that neither copies nor changes the matching.  The bases and
+    their matchings are the ones the cached ``matching.deletion_reach``
+    pass keeps, of E and of each E - A_h, so no matching is made and no
+    rank query either; the new element is never adjoined.  The identity
+    holds for any choice of bases, so which maximum matchings the pass
+    keeps changes no verdict.
     """
     if not extlattice.is_index_closed(system, iset):
         return False

@@ -316,7 +316,7 @@ def test_lattice_files_are_validated_once(capsys, monkeypatch, argv):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    from tmlat import cli
+    from tmlat import verify
     from tmlat.verify import VerdictReport
 
     def broken(**kwargs):
@@ -324,7 +324,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         rep.fail("synthetic witness")
         return rep
 
-    monkeypatch.setitem(cli.SUITES, "charmin", (broken, cli.SUITES["charmin"][1]))
+    monkeypatch.setattr(verify, "check_charmin", broken)
     code, out, _ = run(capsys, "verify", "charmin")
     assert code == 1
     assert "FAIL synthetic witness" in out
@@ -551,24 +551,49 @@ def test_integer_labels_name_their_decimal_strings(capsys, tmp_path):
         == parse_matroid({"ground": ["1", "b"], "bases": [["1"], ["b"]]}).bases()
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_closed_pipe_is_quiet(tmp_path):
     """``tmlat lattice big.json | head -1`` prints nothing to stderr."""
     names = [f"e{i}" for i in range(12)]
     big = tmp_path / "big.json"  # 4096 closed sets, far more than a pipe holds
     big.write_text(json.dumps({"ground": names, "sets": [[e] for e in names]}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from tmlat.cli import run; run()",
          "lattice", str(big)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     proc.wait(timeout=60)
     assert err == b""
+
+
+def test_only_verify_loads_the_verify_module():
+    """A fresh process that imports the CLI and runs another command has
+    not loaded ``tmlat.verify``; ``tmlat verify`` loads it and prints its
+    golden line."""
+    script = (
+        "import sys\n"
+        "import tmlat.cli\n"
+        "assert 'tmlat.verify' not in sys.modules\n"
+        f"assert tmlat.cli.main(['rank', {path('u34_first.json')!r}]) == 0\n"
+        "assert 'tmlat.verify' not in sys.modules\n"
+        "code = tmlat.cli.main(['verify', 'classification'])\n"
+        "assert 'tmlat.verify' in sys.modules\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == \
+        b"[classification] instances=5 failures=0"
 
 
 def test_intersect_different_matroids_exits_3(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import random
+from collections.abc import Mapping
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -187,3 +189,62 @@ def test_the_pass_keeps_maximum_matchings(system):
         assert len(d.matching) == d.rank
     assert_maximum_matching(system, dels.matching, full)
     assert len(dels.matching) == dels.rank == system.r
+
+
+class _LookupOnly(Mapping):
+    """A matching that answers lookups and refuses to be listed, so a
+    reader that copies it fails."""
+
+    def __init__(self, owner):
+        self._owner = owner
+
+    def __getitem__(self, j):
+        return self._owner[j]
+
+    def __iter__(self):
+        raise AssertionError("matching listed or copied")
+
+    def __len__(self):
+        raise AssertionError("matching listed or copied")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_systems(), st.data())
+def test_fundamental_circuit_is_the_failed_search(system, data):
+    """The closure reads the matching in place, searches nothing, and
+    names what one augmenting search from the fresh element on a copy
+    finds: None when it succeeds, else the elements matched to the sets
+    it visited."""
+    x = data.draw(st.integers(0, system.ground.full_mask))
+    adjacency = data.draw(st.integers(0, system.full_index_mask))
+    owner = matching._max_matching_owner(system, x)
+    trial, visited = dict(owner), [0]
+    sup = matching.element_supports(system) + (adjacency,)
+    if matching._augment_rec(sup, trial, system.ground.n, visited):
+        want = None
+    else:
+        want = sum(1 << owner[j] for j in bit_indices(visited[0]))
+    with mock.patch.object(matching, "_augment_rec", _refuse):
+        got = matching.fundamental_circuit(system, _LookupOnly(owner),
+                                           adjacency)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_systems())
+def test_the_pass_computes_no_coloops(system):
+    """Coloops are read off the kept matchings only where asked."""
+    with mock.patch.object(matching, "coloop_mask", _refuse):
+        dels = matching.deletion_pass(system)
+    sup = matching.element_supports(system)
+    full = system.ground.full_mask
+    for a, d in zip(system.sets, dels.sets):
+        x = full & ~a
+        r = brute_rank(system, x)
+        want = sum(1 << e for e in bit_indices(x)
+                   if brute_rank(system, x & ~(1 << e)) < r)
+        assert matching.coloop_mask(x, d.matching, sup) == want
