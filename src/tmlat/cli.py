@@ -15,9 +15,10 @@ import signal
 import sys
 
 from . import extlattice, matching
-from .core import (SetSystem, SubsetLattice, index_list, lattice_doc,
-                   lattice_text, parse_lattice, parse_presentation,
-                   presentation_doc, require_int, require_list)
+from .core import (SetSystem, SubsetLattice, as_document, index_list,
+                   lattice_doc, lattice_text, parse_lattice,
+                   parse_presentation, presentation_doc, require_int,
+                   require_list)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
                             validate_lattice)
@@ -200,7 +201,7 @@ def cmd_construct_uniform(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    doc = json.loads(_read(args.file))
+    doc = as_document(_read(args.file))
     try:
         points = require_int(doc["points"], "'points'")
         less = require_list(doc["less"], "'less'")

@@ -35,6 +35,12 @@ def mask_of(indices) -> int:
     return m
 
 
+def require_r(r: int) -> None:
+    """Refuse an index count ``r`` outside 0..``MAX_SETS``."""
+    if r < 0 or r > MAX_SETS:
+        raise ValueError(f"r = {r} lies outside 0..{MAX_SETS}")
+
+
 def family_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for subsets: cardinality, then bitmask value."""
     return (mask.bit_count(), mask)
@@ -44,17 +50,19 @@ def closed_sets(least) -> list[int]:
     """The subsets I of ``[r]`` with ``least[i]`` inside I for every i in I.
 
     Here r = len(least) and ``least[i]`` is σ({i}), the least closed set
-    holding i; all 2^r subsets are walked in ascending order.  An index
-    i with ``least[i] == {i}`` excludes no I, so only the other, active,
-    indices are tested: for each I the active indices in I, lowest
-    first, up to the first i whose ``least[i]`` leaves I.  With no
-    active index (a minimal presentation, an antichain) each of the 2^r
-    members costs one mask test.
+    holding i; the result ascends.  An index i with ``least[i] == {i}``
+    excludes no I, so only the other, active, indices are tested: for
+    each of the 2^r subsets I the active indices in I, lowest first, up
+    to the first i whose ``least[i]`` leaves I.  With no active index (a
+    minimal presentation, an antichain) every subset is closed, and the
+    2^r members are listed without a test.
     """
     active = 0
     for i, s in enumerate(least):
         if s != 1 << i:
             active |= 1 << i
+    if not active:
+        return list(range(1 << len(least)))
     members = []
     for iset in range(1 << len(least)):
         rest = active & iset
@@ -183,7 +191,8 @@ class SubsetLattice:
     is not checked here: the package's own constructions are closed by
     the theorems they implement, and families read from outside go
     through ``constructions.validate_lattice``.  Construction only checks
-    that ``r`` and every member lie in range.
+    that ``r`` lies in range and, by the smallest and largest member
+    values, that every member lies in ``[0, 2^r)``.
 
     ``from_least`` builds the lattice from each index's least member
     and hands that map in as ``least``, keys ascending; the lattice
@@ -200,12 +209,10 @@ class SubsetLattice:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r < 0 or self.r > MAX_SETS:
-            raise ValueError(f"r = {self.r} lies outside 0..{MAX_SETS}")
-        full = (1 << self.r) - 1
-        for m in self.members:
-            if m & ~full:
-                raise ValueError("member outside the index range")
+        require_r(self.r)
+        if self.members and (min(self.members) < 0
+                             or max(self.members) >> self.r):
+            raise ValueError("member outside the index range")
         if self.least is not None:
             for i, m in self.least.items():
                 if not (i >= 0 and m >> i & 1 and m in self.members):
@@ -350,9 +357,17 @@ def require_int(value, what: str) -> int:
 
 
 def as_document(text):
-    """A JSON document: ``text`` parsed, or ``text`` itself if already parsed."""
+    """A JSON document: ``text`` parsed, or ``text`` itself if already parsed.
+
+    The package's one ``json.loads``.  Its decoder recurses once per
+    level of nesting, so a document nested past the interpreter's
+    recursion limit is refused as invalid input.
+    """
     if isinstance(text, (str, bytes)):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON document nested too deeply") from None
     return text
 
 
@@ -380,6 +395,7 @@ def parse_lattice(text) -> SubsetLattice:
         raw = require_list(doc["sets"], "'sets'")
     except (KeyError, TypeError):
         raise ValueError("lattice document needs 'r' and 'sets'") from None
+    require_r(r)  # before any 1 << (i - 1), which grows with i
     members = set()
     for k, entry in enumerate(raw, start=1):
         m = 0
@@ -407,28 +423,45 @@ def lattice_doc(lat: SubsetLattice) -> dict:
             "sets": [[i + 1 for i in bit_indices(m)] for m in lat.sorted_members()]}
 
 
+def index_texts(mem, words: list[str], sep: str) -> list[str]:
+    """For each member of ``mem``, in ``family_key`` order, its index
+    words ``words[i]`` joined by ``sep``, lowest index first.
+
+    A member m whose rest ``m & (m - 1)``, m less its lowest index, is a
+    nonempty earlier member extends that member's text by one
+    concatenation, of its lowest word and ``sep``; any other member is
+    one join.  The words must be nonempty.
+    """
+    heads = [word + sep for word in words]
+    text: dict[int, str] = {}
+    get = text.get
+    for m in mem:
+        rest = m & (m - 1)
+        prev = get(rest)
+        if prev:  # None, or the empty member's "", is no text to extend
+            text[m] = heads[(m ^ rest).bit_length() - 1] + prev
+        else:
+            text[m] = sep.join([words[i] for i in bit_indices(m)])
+    return list(text.values())
+
+
 def lattice_text(lat: SubsetLattice) -> str:
     """``json.dumps(lattice_doc(lat), indent=2)``, written directly.
 
-    Python's indenting encoder is its pure-Python one; this builds the
-    same text from one line string per index.  A member whose top index
-    leaves a nonempty member behind extends that member's entry.
+    Python's indenting encoder is its pure-Python one; this takes each
+    nonempty member's lines from ``index_texts``, one line string per
+    index, and joins the entries once.  The empty member, always first,
+    is written ``[]``.
     """
-    lines = [f"      {i + 1}" for i in range(lat.r)]
-    sets: dict[int, str] = {}  # member -> its entry, in sorted order
-    for m in lat.sorted_members():
-        if not m:
-            sets[m] = "    []"
-            continue
-        top = m.bit_length() - 1
-        rest = m ^ (1 << top)
-        if rest and rest in sets:
-            # [6:-6] drops the entry's "    [\n" and "\n    ]".
-            text = sets[rest][6:-6] + ",\n" + lines[top]
-        else:
-            text = ",\n".join([lines[i] for i in bit_indices(m)])
-        sets[m] = f"    [\n{text}\n    ]"
-    if not sets:
-        return f'{{\n  "r": {lat.r},\n  "sets": []\n}}'
-    return (f'{{\n  "r": {lat.r},\n  "sets": [\n' + ",\n".join(sets.values())
-            + "\n  ]\n}")
+    mem = lat.sorted_members()
+    head = f'{{\n  "r": {lat.r},\n  "sets": ['
+    if not mem:
+        return head + "]\n}"
+    texts = index_texts(mem, [f"      {i + 1}" for i in range(lat.r)], ",\n")
+    entries = []
+    if not mem[0]:
+        entries.append("    []")
+        del texts[0]
+    if texts:
+        entries.append("    [\n" + "\n    ],\n    [\n".join(texts) + "\n    ]")
+    return head + "\n" + ",\n".join(entries) + "\n  ]\n}"

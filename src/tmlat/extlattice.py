@@ -22,7 +22,7 @@ from itertools import count
 
 from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
-                   family_key, least_containing)
+                   family_key, index_texts, least_containing)
 from .matroid import Matroid
 from .presentations import maximalize, require_full_rank
 
@@ -260,33 +260,21 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
                             pairs)
 
 
-def _index_text(m: int, text: dict[int, str], digits: list[str]) -> str:
-    """The indices of ``m``, comma-separated, as ``digits`` writes them.
-
-    ``text`` memoizes each index set's text, which extends the text of
-    the set without its lowest index.
-    """
-    if m not in text:
-        rest = m & (m - 1)
-        low = digits[(m ^ rest).bit_length() - 1]
-        text[m] = f"{low},{_index_text(rest, text, digits)}" if rest else low
-    return text[m]
-
-
 def hasse_dot(lat: SubsetLattice) -> str:
     """DOT text of the Hasse diagram, byte-stable across runs.
 
     Nodes carry set labels, edges are cover pairs only, and members of
     equal height share a rank group.  Covers and heights read off the
-    least-containing map (``SubsetLattice.covers``, ``heights``).  Each
-    label's index list extends the memoized list of the set without its
-    lowest index, so each label costs one concatenation.
+    least-containing map (``SubsetLattice.covers``, ``heights``).  The
+    labels' index lists come from ``core.index_texts``, as the lines of
+    ``lattice_text`` do: one concatenation for a label whose set less
+    its lowest index is a nonempty member.
     """
     covers = lat.covers()  # refuses an oversized family before any label
     mem = lat.sorted_members()
     digits = [str(i + 1) for i in range(lat.r)]
-    text = {0: ""}
-    name = {m: f'"{{{_index_text(m, text, digits)}}}"' for m in mem}
+    name = {m: f'"{{{text}}}"'
+            for m, text in zip(mem, index_texts(mem, digits, ","))}
 
     heights = lat.heights()
     levels: dict[int, list[int]] = {}

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -476,13 +477,25 @@ def test_non_integer_fields_exit_3(capsys, tmp_path, command, doc, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("r", [33, -1])
-def test_lattice_rank_out_of_range_exits_3(capsys, tmp_path, r):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"r": r, "sets": [[]]}))
-    code, out, err = run(capsys, "irreducibles", str(bad))
-    assert code == 3 and out == ""
-    assert err == f"error: r = {r} lies outside 0..32\n"
+@pytest.mark.parametrize("r, sets", [
+    (33, [[]]), (-1, [[]]),
+    # an index outside 1..r gets the r message when r is out of range too
+    (33, [[40]]),
+    # the index's mask would take 12.5 GB
+    (10 ** 11, [[10 ** 11 - 1]])], ids=["33", "-1", "33-index-40", "huge-index"])
+def test_lattice_rank_out_of_range_exits_3(r, sets):
+    """r is checked before any index becomes a mask.  The CLI runs in a
+    process whose address space is capped at 512 MB, so a build of the
+    huge mask fails there with a ``MemoryError`` instead of filling the
+    memory of the machine."""
+    cap = 1 << 29
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmlat.cli", "irreducibles", "-"],
+        input=json.dumps({"r": r, "sets": sets}).encode(),
+        capture_output=True, env=_package_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        3, b"", f"error: r = {r} lies outside 0..32\n")
 
 
 @pytest.mark.parametrize("n, message", [
@@ -875,6 +888,18 @@ def test_malformed_documents_exit_0_or_3(argv, text):
     assert code in (0, 3)
     assert sum(line.startswith("error:") for line in lines) <= 1
     assert not any("Traceback" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS)
+def test_deeply_nested_documents_exit_3(argv):
+    """JSON nested past the recursion limit is invalid input, not a
+    ``RecursionError``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("[" * 100000)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        3, "", "error: JSON document nested too deeply\n")
 
 
 @pytest.mark.parametrize("n", ["200000", str(10 ** 20)])

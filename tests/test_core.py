@@ -255,6 +255,15 @@ def test_handed_in_least_map_is_checked_and_not_compared():
             SubsetLattice(3, members, bad)
 
 
+@pytest.mark.parametrize("r", [0, 1, 5, 32])
+def test_members_lie_in_the_index_range(r):
+    """Members run from 0 to 2^r - 1; one past either end is refused."""
+    assert len(SubsetLattice(r, frozenset([0, (1 << r) - 1]))) == 1 + (r > 0)
+    for bad in (1 << r, -1):
+        with pytest.raises(ValueError, match="^member outside the index range$"):
+            SubsetLattice(r, frozenset([0, bad]))
+
+
 def test_from_least_refuses_a_map_that_is_not_transitive():
     # index 1 drags in 2, whose least set drags in 3: {1, 2} is not closed
     with pytest.raises(ValueError, match="^the least member given for "
@@ -332,6 +341,21 @@ def test_from_least_is_the_one_builder_from_a_least_map():
                 handed.append(f"{path.name}:{node.lineno}")
     assert scans == ["core.py:SubsetLattice.from_least"]
     assert handed == []
+
+
+def test_as_document_is_the_one_json_parser():
+    """``json.loads`` is called only in ``core.as_document``, so every
+    document gets its refusal of deep nesting."""
+    package = Path(__file__).resolve().parents[1] / "src" / "tmlat"
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, scope in _scoped_nodes(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "loads"
+                    or isinstance(func, ast.Name) and func.id == "loads"):
+                calls.append(f"{path.name}:{scope}")
+    assert calls == ["core.py:as_document"]
 
 
 # The functions and methods of the package that nothing in it calls, each
