@@ -10,6 +10,7 @@ test lattices from finite posets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
@@ -97,6 +98,7 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     Element j < r lies in the sets indexed by ``least[j]``, so its
     support is the least member holding j; the elements from r on lie in
     every set.  One pass over the map's bits puts each j in its sets.
+    Builds with the same n share one ground.
     ``lat`` is trusted to be closed and to hold the empty set and [r];
     ``verify`` checks the result is uniform.
     """
@@ -112,8 +114,13 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
     for j, m in least.items():
         for i in bit_indices(m):
             sets[i] |= 1 << j
-    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    return SetSystem(ground, tuple(sets))
+    return SetSystem(_numbered_ground(n), tuple(sets))
+
+
+@lru_cache(maxsize=None)  # n <= MAX_ELEMENTS, checked by the caller
+def _numbered_ground(n: int) -> GroundSet:
+    """The ground ``"1"``..``"n"``, built once per n and shared."""
+    return GroundSet(tuple(str(i + 1) for i in range(n)))
 
 
 def ideals_of_poset(points: int, less) -> SubsetLattice:

@@ -24,7 +24,7 @@ from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
                    family_key, index_texts, least_containing)
 from .matroid import Matroid
-from .presentations import maximalize, require_full_rank
+from .presentations import full_rank_deletions, maximalize, require_full_rank
 
 SCAN_LIMIT = 20  # both routes walk all 2^r index sets
 
@@ -63,10 +63,9 @@ def index_closure(system: SetSystem, iset: int) -> int:
     would become a coloop after deleting the k-th set, i.e. when the
     new element can augment a maximum matching of that deletion.
     """
-    require_full_rank(system)
+    dels = full_rank_deletions(system).sets
     if iset & ~system.full_index_mask:
         raise ValueError("index set out of range")
-    dels = matching.deletion_reach(system).sets
     out = iset
     for k in range(system.r):
         bit = 1 << k
@@ -88,9 +87,9 @@ def least_map(system: SetSystem) -> list[int]:
     lattice (Birkhoff), so two presentations with r sets have equal
     extension lattices exactly when their maps are equal.
     """
-    require_full_rank(system)
+    dels = full_rank_deletions(system).sets
     least = [1 << i for i in range(system.r)]
-    for k, d in enumerate(matching.deletion_reach(system).sets):
+    for k, d in enumerate(dels):
         bit = 1 << k
         rk = d.reach & ~bit  # least[k] holds k already
         while rk:

@@ -16,7 +16,8 @@ as a closure, without searching: from the fresh element's sets, on to
 every set holding an element matched to a set reached, stopping at the
 first unmatched set, where the search would have succeeded.
 ``deletion_pass`` reads what one maximum matching of E - A_k shows for
-each set k of a system: the rank of E - A_k and the set indices from
+each set k of a system, in one loop per set that grows the matching and
+then reads it in place: the rank of E - A_k and the set indices from
 which an augmenting path exists; the same pass grows the first of those
 matchings into one of E for the rank of the whole system.  The pass
 keeps every one of those matchings, read-only, so a caller that needs
@@ -175,27 +176,6 @@ def is_independent(system: SetSystem, x_mask: int) -> bool:
     return rank(system, x_mask) == x_mask.bit_count()
 
 
-def reach_mask(system: SetSystem, owner: dict[int, int],
-               sup: tuple[int, ...]) -> int:
-    """Set indices from which an alternating path reaches a free set.
-
-    A fresh element with adjacency ``adj`` augments ``owner`` exactly when
-    ``adj`` meets this mask.  ``sup`` is ``element_supports(system)``.
-    """
-    good = system.full_index_mask
-    for j in owner:
-        good ^= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for j, e in owner.items():
-            bit = 1 << j
-            if not good & bit and sup[e] & good & ~bit:
-                good |= bit
-                changed = True
-    return good
-
-
 def coloop_mask(x_mask: int, owner: Mapping[int, int],
                 sup: tuple[int, ...]) -> int:
     """Elements of ``x_mask`` in every basis of M|x_mask: its coloops.
@@ -255,26 +235,52 @@ def deletion_pass(system: SetSystem,
     """Rank, reach mask and matching of each E - A_k, and the rank and a
     matching of E.
 
-    The matching of E grows a copy of the matching of E - A_0 by the
+    One loop per set grows a maximum matching of E - A_k from empty,
+    augmenting by its elements in ascending order as
+    ``_max_matching_owner`` does, and reads the set indices an
+    augmenting path can start from off that matching in place: the
+    free sets, then to a fixpoint every matched set whose element lies
+    in a set already reached.  A fresh element with adjacency ``adj``
+    augments the matching exactly when ``adj`` meets that mask.  The
+    matching of E grows a copy of the matching of E - A_0 by the
     elements of A_0, so the whole pass makes one matching per set.  Each
     matching is kept as a read-only map from set index to element, which
     the cache can hand to every caller unchanged.  The element supports
-    are read once (``sup`` defaults to ``element_supports``) and handed
-    to every step of the pass.  Coloops are left to the callers that
-    need them, so callers that read only ranks and reaches pay nothing
-    for them.  This is the uncached pass, for systems no later call asks
-    about again; ``deletion_reach`` caches it.
+    are read once (``sup`` defaults to ``element_supports``).  Coloops
+    are left to the callers that need them, so callers that read only
+    ranks and reaches pay nothing for them.  This is the uncached pass,
+    for systems no later call asks about again; ``deletion_reach``
+    caches it.
     """
-    full = system.ground.full_mask
     if sup is None:
         sup = element_supports(system)
-    owners = [_max_matching_owner(system, full & ~a, sup=sup)
-              for a in system.sets]
-    whole = _max_matching_owner(system, system.sets[0], dict(owners[0]), sup)
-    return Deletions(len(whole), tuple(
-        Deletion(len(owner), reach_mask(system, owner, sup),
-                 MappingProxyType(owner))
-        for owner in owners), MappingProxyType(whole))
+    full = system.ground.full_mask
+    index_mask = system.full_index_mask
+    dels = []
+    for a in system.sets:
+        owner: dict[int, int] = {}
+        dead = [0]  # as in _max_matching_owner: skipped until a success
+        x = full & ~a
+        while x:
+            low = x & -x
+            x ^= low
+            if _augment_rec(sup, owner, low.bit_length() - 1, dead):
+                dead[0] = 0
+        reach = index_mask
+        for j in owner:
+            reach ^= 1 << j
+        changed = True
+        while changed:
+            changed = False
+            for j, e in owner.items():
+                bit = 1 << j
+                if not reach & bit and sup[e] & reach:
+                    reach |= bit
+                    changed = True
+        dels.append(Deletion(len(owner), reach, MappingProxyType(owner)))
+    whole = _max_matching_owner(system, system.sets[0],
+                                dict(dels[0].matching), sup)
+    return Deletions(len(whole), tuple(dels), MappingProxyType(whole))
 
 
 @lru_cache(maxsize=4096)

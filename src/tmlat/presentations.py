@@ -16,13 +16,18 @@ from .core import SetSystem, bit_indices
 MINIMAL_BUDGET = 50_000
 
 
+def full_rank_deletions(system: SetSystem) -> matching.Deletions:
+    """The cached matching pass of ``system``, once it shows full rank."""
+    dels = matching.deletion_reach(system)
+    if dels.rank != system.r:
+        raise ValueError(
+            f"system of {system.r} sets presents a matroid of rank {dels.rank}")
+    return dels
+
+
 def require_full_rank(system: SetSystem) -> int:
     """The number of sets, once the cached matching pass shows full rank."""
-    r = matching.deletion_reach(system).rank
-    if r != system.r:
-        raise ValueError(
-            f"system of {system.r} sets presents a matroid of rank {r}")
-    return r
+    return full_rank_deletions(system).rank
 
 
 def preceq(a: SetSystem, b: SetSystem) -> bool:
@@ -41,18 +46,18 @@ def reindexing_equivalent(a: SetSystem, b: SetSystem) -> bool:
 
 def deletion_ranks(system: SetSystem) -> list[int]:
     """Rank of the matroid after deleting each set's elements."""
-    return [d.rank for d in matching.deletion_reach(system).sets]
+    return [d.rank for d in full_rank_deletions(system).sets]
 
 
 def presentation_rank(system: SetSystem) -> int:
     """Height of the presentation in the graded order on presentations."""
-    r = require_full_rank(system)
+    r = system.r
     return r * (r - 1) - sum(deletion_ranks(system))
 
 
 def is_minimal(system: SetSystem) -> bool:
     """Minimal presentations delete down to rank r-1 at every set."""
-    r = require_full_rank(system)
+    r = system.r
     return all(d == r - 1 for d in deletion_ranks(system))
 
 
@@ -63,10 +68,9 @@ def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     deletion of that set, which ``coloop_mask`` reads off the matching
     of that deletion the cached pass keeps.
     """
-    require_full_rank(system)
+    dels = full_rank_deletions(system).sets
     full = system.ground.full_mask
     sup = matching.element_supports(system)
-    dels = matching.deletion_reach(system).sets
     return [(i, e) for i, (a, d) in enumerate(zip(system.sets, dels))
             for e in bit_indices(
                 matching.coloop_mask(full & ~a, d.matching, sup))]
@@ -108,9 +112,8 @@ def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     adjacent to its sets other than i, augments a maximum matching of
     E - A_i.  That matching avoids e, so the cached reach mask decides.
     """
-    require_full_rank(system)
+    dels = full_rank_deletions(system).sets
     sup = matching.element_supports(system)
-    dels = matching.deletion_reach(system).sets
     return [(i, e) for i, a in enumerate(system.sets) for e in bit_indices(a)
             if sup[e] & ~(1 << i) & dels[i].reach]
 

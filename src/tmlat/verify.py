@@ -708,19 +708,21 @@ def _is_uniform(system: SetSystem) -> bool:
 
     By Hall's theorem some r-subset is dependent exactly when, for some
     s < r, s set indices hold the whole supports of more than s elements.
-    One zeta sum over the 2^r index masks counts, for every mask at once,
-    the elements whose supports it holds.
+    Only a support other than [r] fits inside fewer than r indices, so
+    for each index mask other than [r] the supports inside it are counted
+    directly among those, and the count must not pass the mask's size.
     """
     full = system.full_index_mask
-    count = [0] * (full + 1)
-    for sup in matching.element_supports(system):
-        count[sup] += 1
-    for i in range(system.r):
-        bit = 1 << i
-        for m in range(full + 1):
-            if m & bit:
-                count[m] += count[m ^ bit]
-    return all(c <= m.bit_count() for m, c in enumerate(count) if m != full)
+    inner = [s for s in matching.element_supports(system) if s != full]
+    for m in range(full):
+        out = ~m
+        count = 0
+        for s in inner:
+            if not s & out:
+                count += 1
+        if count > m.bit_count():
+            return False
+    return True
 
 
 def check_roundtrip(max_points: int = 4) -> VerdictReport:

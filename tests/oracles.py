@@ -24,8 +24,10 @@ sublattices by comparing all pairs of candidates.  Lattice files are
 checked by visiting every pair of members and written by Python's
 indenting JSON encoder.  Kuhn's search starts each element with
 nothing visited and re-enters sets a deeper call already visited;
-circuits shrink by one rank query per element; common extensions
-compare the bases of every extension.  The basis exchange axiom is
+the deletion pass makes each matching through ``_max_matching_owner``
+and reads each reach by a separate fixpoint call; circuits shrink by
+one rank query per element; common extensions compare the bases of
+every extension.  The basis exchange axiom is
 scanned over every pair of bases and every element of their difference.
 A matroid's circuits come from a scan of all 2^n subsets, and its
 hyperplanes and cyclic flats from closing every independent set of
@@ -44,6 +46,7 @@ matroid, ``cyclic_flat_supports`` of a maximal presentation, and
 
 import json
 from itertools import combinations
+from types import MappingProxyType
 
 from tmlat import matching
 from tmlat.constructions import ideals_of_poset
@@ -209,6 +212,38 @@ def brute_max_matching_owner(system, x_mask):
     for e in bit_indices(x_mask):
         augment_rec(e, [0])
     return owner
+
+
+def reference_reach_mask(system, owner, sup) -> int:
+    """Set indices from which an alternating path reaches a free set:
+    the free sets, then matched sets to a fixpoint."""
+    good = system.full_index_mask
+    for j in owner:
+        good ^= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for j, e in owner.items():
+            bit = 1 << j
+            if not good & bit and sup[e] & good & ~bit:
+                good |= bit
+                changed = True
+    return good
+
+
+def reference_deletion_pass(system) -> matching.Deletions:
+    """``deletion_pass`` as two passes: one ``_max_matching_owner`` call
+    per E - A_k, then one ``reference_reach_mask`` call per matching."""
+    full = system.ground.full_mask
+    sup = matching.element_supports(system)
+    owners = [matching._max_matching_owner(system, full & ~a, sup=sup)
+              for a in system.sets]
+    whole = matching._max_matching_owner(system, system.sets[0],
+                                         dict(owners[0]), sup)
+    return matching.Deletions(len(whole), tuple(
+        matching.Deletion(len(owner), reference_reach_mask(system, owner, sup),
+                          MappingProxyType(owner))
+        for owner in owners), MappingProxyType(whole))
 
 
 def brute_circuit_through(ext, mask, xbit):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tmlat import matching
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 
-from .oracles import brute_max_matching_owner, brute_rank, counting_independent
+from .oracles import (brute_max_matching_owner, brute_rank, counting_independent,
+                      reference_deletion_pass)
 
 
 def test_matching_is_injective_and_supported(threelines_maximal):
@@ -84,11 +85,10 @@ def test_deterministic_matching(u34_first):
 def test_reach_mask_predicts_augmentation(threelines_maximal):
     system = threelines_maximal
     full = system.ground.full_mask
-    sup = matching.element_supports(system)
+    dels = matching.deletion_pass(system)
     for k, a in enumerate(system.sets):
-        owner = matching._max_matching_owner(system, full & ~a)
-        reach = matching.reach_mask(system, owner, sup)
-        base = len(owner)
+        reach = dels.sets[k].reach
+        base = len(dels.sets[k].matching)
         for adjacency in range(1 << system.r):
             assert bool(adjacency & reach) == \
                 (brute_rank_with_virtual(system, full & ~a, adjacency) == base + 1)
@@ -248,3 +248,35 @@ def test_the_pass_computes_no_coloops(system):
         want = sum(1 << e for e in bit_indices(x)
                    if brute_rank(system, x & ~(1 << e)) < r)
         assert matching.coloop_mask(x, d.matching, sup) == want
+
+
+@st.composite
+def systems_of_either_rank(draw):
+    """1-12 sets on up to 16 elements: full rank through a drawn
+    diagonal, or rank-deficient with every set inside fewer than r
+    elements."""
+    r = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        n = draw(st.integers(r, 16))
+        diagonal = draw(st.permutations(range(n)))[:r]
+        sets = [draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal]
+    else:
+        n = draw(st.integers(0, 16))
+        within = sum(1 << e for e in draw(st.permutations(range(n)))[:r - 1])
+        sets = [draw(st.integers(0, (1 << n) - 1)) & within for _ in range(r)]
+    return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_of_either_rank())
+def test_the_one_loop_pass_matches_the_reference(system):
+    """Each E - A_k keeps the reference's rank, reach and matching, in
+    the same insertion order, and so does the matching of E."""
+    got = matching.deletion_pass(system)
+    want = reference_deletion_pass(system)
+    assert len(got.sets) == len(want.sets) == system.r
+    for k, (d, w) in enumerate(zip(got.sets, want.sets)):
+        assert (d.rank, d.reach, list(d.matching.items())) == \
+            (w.rank, w.reach, list(w.matching.items())), k
+    assert got.rank == want.rank
+    assert list(got.matching.items()) == list(want.matching.items())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tmlat import matching
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
+from tmlat.extlattice import index_closure, least_map
 from tmlat.matroid import Matroid
 from tmlat.presentations import (addable_pairs, cover_chain, deletion_ranks,
                                  is_maximal, is_minimal, maximalize,
@@ -235,7 +236,9 @@ def test_addable_pairs_and_full_rank_match_the_rank_scan(system):
         assert addable_pairs(system) == brute_addable_pairs(system)
         return
     message = f"system of {system.r} sets presents a matroid of rank {r}"
-    for check in (require_full_rank, addable_pairs):
+    for check in (require_full_rank, addable_pairs, least_map,
+                  lambda s: index_closure(s, 0), removable_pairs, is_minimal,
+                  presentation_rank, deletion_ranks):
         with pytest.raises(ValueError) as err:
             check(system)
         assert str(err.value) == message

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tmlat import extlattice, verify
+from tmlat import extlattice, matching, verify
 from tmlat.constructions import build_uniform_presentation
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, mask_of)
@@ -453,6 +453,19 @@ def test_roundtrip_scans_only_the_poset_lattices(monkeypatch):
     rep = check_roundtrip(4)
     assert rep.ok and rep.instances == 243
     assert len(calls) == 243
+
+
+def test_roundtrip_reads_each_build_pass_once():
+    """Each of the 968 builds makes one matching pass and computes its
+    element supports once; the maximal build's ``addable_pairs`` makes
+    the only second pass lookup, one per nonempty poset lattice."""
+    matching.deletion_reach.cache_clear()
+    matching.element_supports.cache_clear()
+    rep = check_roundtrip(4)
+    assert rep.ok and rep.instances == 243
+    reach = matching.deletion_reach.cache_info()
+    assert (reach.misses, reach.hits) == (968, 242)
+    assert matching.element_supports.cache_info().misses == 968
 
 
 def test_charmin_checks_the_least_map_against_index_closure(monkeypatch):
