@@ -24,7 +24,7 @@ from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
                    family_key, index_texts, least_containing)
 from .matroid import Matroid
-from .presentations import full_rank_deletions, maximalize, require_full_rank
+from .presentations import maximalize, require_full_rank
 
 SCAN_LIMIT = 20  # both routes walk all 2^r index sets
 
@@ -63,7 +63,7 @@ def index_closure(system: SetSystem, iset: int) -> int:
     would become a coloop after deleting the k-th set, i.e. when the
     new element can augment a maximum matching of that deletion.
     """
-    dels = full_rank_deletions(system).sets
+    dels = require_full_rank(system).sets
     if iset & ~system.full_index_mask:
         raise ValueError("index set out of range")
     out = iset
@@ -87,7 +87,7 @@ def least_map(system: SetSystem) -> list[int]:
     lattice (Birkhoff), so two presentations with r sets have equal
     extension lattices exactly when their maps are equal.
     """
-    dels = full_rank_deletions(system).sets
+    dels = require_full_rank(system).sets
     least = [1 << i for i in range(system.r)]
     for k, d in enumerate(dels):
         bit = 1 << k

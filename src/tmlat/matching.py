@@ -235,9 +235,8 @@ def deletion_pass(system: SetSystem,
     """Rank, reach mask and matching of each E - A_k, and the rank and a
     matching of E.
 
-    One loop per set grows a maximum matching of E - A_k from empty,
-    augmenting by its elements in ascending order as
-    ``_max_matching_owner`` does, and reads the set indices an
+    One loop per set grows a maximum matching of E - A_k from empty
+    with ``_max_matching_owner`` and reads the set indices an
     augmenting path can start from off that matching in place: the
     free sets, then to a fixpoint every matched set whose element lies
     in a set already reached.  A fresh element with adjacency ``adj``
@@ -258,14 +257,7 @@ def deletion_pass(system: SetSystem,
     index_mask = system.full_index_mask
     dels = []
     for a in system.sets:
-        owner: dict[int, int] = {}
-        dead = [0]  # as in _max_matching_owner: skipped until a success
-        x = full & ~a
-        while x:
-            low = x & -x
-            x ^= low
-            if _augment_rec(sup, owner, low.bit_length() - 1, dead):
-                dead[0] = 0
+        owner = _max_matching_owner(system, full & ~a, sup=sup)
         reach = index_mask
         for j in owner:
             reach ^= 1 << j

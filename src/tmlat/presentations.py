@@ -16,18 +16,16 @@ from .core import SetSystem, bit_indices
 MINIMAL_BUDGET = 50_000
 
 
-def full_rank_deletions(system: SetSystem) -> matching.Deletions:
-    """The cached matching pass of ``system``, once it shows full rank."""
+def require_full_rank(system: SetSystem) -> matching.Deletions:
+    """The cached matching pass of ``system``, once it shows full rank.
+
+    Raises ValueError unless the matroid has rank ``system.r``.
+    """
     dels = matching.deletion_reach(system)
     if dels.rank != system.r:
         raise ValueError(
             f"system of {system.r} sets presents a matroid of rank {dels.rank}")
     return dels
-
-
-def require_full_rank(system: SetSystem) -> int:
-    """The number of sets, once the cached matching pass shows full rank."""
-    return full_rank_deletions(system).rank
 
 
 def preceq(a: SetSystem, b: SetSystem) -> bool:
@@ -45,8 +43,12 @@ def reindexing_equivalent(a: SetSystem, b: SetSystem) -> bool:
 
 
 def deletion_ranks(system: SetSystem) -> list[int]:
-    """Rank of the matroid after deleting each set's elements."""
-    return [d.rank for d in full_rank_deletions(system).sets]
+    """Rank of the matroid after deleting each set's elements.
+
+    Raises ValueError unless the system has full rank, as
+    ``require_full_rank`` does.
+    """
+    return [d.rank for d in require_full_rank(system).sets]
 
 
 def presentation_rank(system: SetSystem) -> int:
@@ -68,7 +70,7 @@ def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     deletion of that set, which ``coloop_mask`` reads off the matching
     of that deletion the cached pass keeps.
     """
-    dels = full_rank_deletions(system).sets
+    dels = require_full_rank(system).sets
     full = system.ground.full_mask
     sup = matching.element_supports(system)
     return [(i, e) for i, (a, d) in enumerate(zip(system.sets, dels))
@@ -112,7 +114,7 @@ def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:
     adjacent to its sets other than i, augments a maximum matching of
     E - A_i.  That matching avoids e, so the cached reach mask decides.
     """
-    dels = full_rank_deletions(system).sets
+    dels = require_full_rank(system).sets
     sup = matching.element_supports(system)
     return [(i, e) for i, a in enumerate(system.sets) for e in bit_indices(a)
             if sup[e] & ~(1 << i) & dels[i].reach]
@@ -139,7 +141,8 @@ def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSys
     elements must not drop the rank.  A walk that visits more than
     ``MINIMAL_BUDGET`` presentations raises ValueError.
     """
-    r = require_full_rank(system)
+    require_full_rank(system)
+    r = system.r
     if keep:
         if matching.rank(system, system.ground.full_mask & ~keep) != r:
             raise ValueError("kept elements must leave the rank intact")
