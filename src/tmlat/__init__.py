@@ -12,8 +12,7 @@ from .extlattice import (CommonExtensions, ExtensionRecord,
                          common_extension_lattice, extend, extension_lattice,
                          extension_lattice_from_supports, extension_matroid,
                          extension_matroids, hasse_dot, index_closure,
-                         irreducibles, is_index_closed, least_map,
-                         tight_supports)
+                         irreducibles, least_map, tight_supports)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideals_of_poset,
                             validate_lattice)
@@ -30,7 +29,7 @@ __all__ = [
     "CommonExtensions", "ExtensionRecord", "common_extension_lattice",
     "extend", "extension_lattice", "extension_lattice_from_supports",
     "extension_matroid", "extension_matroids", "hasse_dot", "index_closure",
-    "irreducibles", "is_index_closed", "least_map", "tight_supports",
+    "irreducibles", "least_map", "tight_supports",
     "build_maximal_presentation", "build_uniform_presentation",
     "ideals_of_poset", "validate_lattice",
 ]

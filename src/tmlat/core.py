@@ -51,28 +51,66 @@ def closed_sets(least) -> list[int]:
 
     Here r = len(least) and ``least[i]`` is σ({i}), the least closed set
     holding i; the result ascends.  An index i with ``least[i] == {i}``
-    excludes no I, so only the other, active, indices are tested: for
-    each of the 2^r subsets I the active indices in I, lowest first, up
-    to the first i whose ``least[i]`` leaves I.  With no active index (a
-    minimal presentation, an antichain) every subset is closed, and the
-    2^r members are listed without a test.
+    (a free index) excludes no I, so only the subsets S of the other,
+    active, indices are walked.  Write I = S ∪ T with T its free part.
+    A free index in I holds its own least set, so I is closed exactly
+    when every j in S has ``least[j]`` inside I.  I holds no active
+    index outside S, so that asks ``least[j]`` to lie in S ∪ free and
+    to meet the free indices only inside T.  So with need the union of
+    ``least[j]`` over j in S (which holds S), an S that passes the test
+    against S ∪ free yields the closed sets need ∪ U, one for every
+    U ⊆ free − need, and an S that fails yields none.  For a active
+    indices that is 2^a tests plus the |L| members, sorted once.  With
+    no active index (a minimal presentation, an antichain) every subset
+    is closed and the 2^r members are listed without a test; with no
+    free index the 2^r index sets are tested in ascending order, each on
+    its indices lowest first up to the first i whose ``least[i]`` leaves
+    it, so that walk needs no sort.
     """
+    r = len(least)
+    full = (1 << r) - 1
     active = 0
-    for i, s in enumerate(least):
-        if s != 1 << i:
+    for i, own in enumerate(least):
+        if own != 1 << i:
             active |= 1 << i
     if not active:
-        return list(range(1 << len(least)))
+        return list(range(full + 1))
     members = []
-    for iset in range(1 << len(least)):
-        rest = active & iset
+    if active == full:
+        for iset in range(full + 1):
+            rest = iset
+            while rest:
+                low = rest & -rest
+                if least[low.bit_length() - 1] | iset != iset:
+                    break
+                rest ^= low
+            else:
+                members.append(iset)
+        return members
+    free = full ^ active
+    s = 0
+    while True:
+        room = s | free
+        need = rest = s
         while rest:
             low = rest & -rest
-            if least[low.bit_length() - 1] | iset != iset:
+            sigma = least[low.bit_length() - 1]
+            if sigma | room != room:
                 break
+            need |= sigma
             rest ^= low
         else:
-            members.append(iset)
+            spare = free & ~need
+            u = spare
+            while True:
+                members.append(need | u)
+                if not u:
+                    break
+                u = (u - 1) & spare
+        if s == active:
+            break
+        s = (s - active) & active
+    members.sort()
     return members
 
 

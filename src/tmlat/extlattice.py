@@ -26,7 +26,9 @@ from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indice
 from .matroid import Matroid
 from .presentations import maximalize, require_full_rank
 
-SCAN_LIMIT = 20  # both routes walk all 2^r index sets
+# The support route walks all 2^r index sets; the scan walks the 2^a
+# subsets of its a active indices and lists up to 2^r members.
+SCAN_LIMIT = 20
 
 
 def fresh_label(ground: GroundSet, stem: str = "x") -> str:
@@ -74,10 +76,6 @@ def index_closure(system: SetSystem, iset: int) -> int:
     return out
 
 
-def is_index_closed(system: SetSystem, iset: int) -> bool:
-    return index_closure(system, iset) == iset
-
-
 def least_map(system: SetSystem) -> list[int]:
     """σ({i}) for each index i: the least closed index set holding i.
 
@@ -103,9 +101,10 @@ def extension_lattice(system: SetSystem) -> SubsetLattice:
     """All closed index sets: the down-sets of the least map.
 
     σ(I) is the union of the σ({i}) for i in I, so I is closed exactly
-    when it holds ``least_map(system)[i]`` for each of its indices;
-    ``SubsetLattice.from_least`` walks all 2^r index sets for those, and
-    hands the lattice the map.
+    when it holds ``least_map(system)[i]`` for each of its indices.
+    ``SubsetLattice.from_least`` lists those in 2^a tests and |L|
+    outputs, for the a indices with σ({i}) ≠ {i}, and hands the lattice
+    the map.
     """
     least = least_map(system)
     if system.r > SCAN_LIMIT:

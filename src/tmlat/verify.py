@@ -24,7 +24,8 @@ from .core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                    least_containing, mask_of)
 from .presentations import (cover_chain, is_minimal, maximalize,
                             presentation_rank, reindexing_equivalent,
-                            removable_pairs, addable_pairs, _with_bit)
+                            removable_pairs, addable_pairs, require_full_rank,
+                            _with_bit)
 from .constructions import (build_maximal_presentation,
                             build_uniform_presentation, ideal_lattice,
                             validate_lattice)
@@ -317,13 +318,17 @@ def circuit_support_identity(system: SetSystem, iset: int) -> bool:
     pass keeps, of E and of each E - A_h, so no matching is made and no
     rank query either; the new element is never adjoined.  The identity
     holds for any choice of bases, so which maximum matchings the pass
-    keeps changes no verdict.
+    keeps changes no verdict.  The closure of the set is read off the
+    same pass's reaches: an outside index h whose reach meets it joins it.
     """
-    if not extlattice.is_index_closed(system, iset):
+    dels = require_full_rank(system)
+    if iset & ~system.full_index_mask:
+        raise ValueError("index set out of range")
+    outside = bit_indices(system.full_index_mask & ~iset)
+    if any(iset & dels.sets[h].reach for h in outside):
         return False
     if iset == 0:
         return True  # the new element is a loop, and {x} is its one circuit
-    dels = matching.deletion_reach(system)
 
     def witness(owner) -> int | None:
         c = matching.fundamental_circuit(system, owner, iset)
@@ -335,7 +340,7 @@ def circuit_support_identity(system: SetSystem, iset: int) -> bool:
     acc = witness(dels.matching)
     if acc is None:
         return False
-    for h in bit_indices(system.full_index_mask & ~iset):
+    for h in outside:
         s = witness(dels.sets[h].matching)
         if s is None or s & (1 << h):
             return False

@@ -2,12 +2,14 @@
 
 Each call runs in process with ``COLUMNS=80``, so help text wraps the
 same way everywhere.  The table pins the bytes the CLI wrote before its
-parser, lattice writer and validator were made cheaper, and the
+parser, lattice writer and validator were made cheaper, the
 ``intersect`` and ``t-lattice`` bytes from when common extensions were
-still matched by the bases of every extension; any change to output must
-show up here.  ``construct-maximal`` is pinned from when it first gave
-blocks to the join-irreducibles only; before, the r = 5 powerset
-exceeded the ground cap.
+still matched by the bases of every extension, and the ``lattice`` bytes
+of the 10-point poset's presentation from when the scan still walked
+all 2^r index sets; any change to output must show up here.
+``construct-maximal`` is pinned from when it first gave blocks to the
+join-irreducibles only; before, the r = 5 powerset exceeded the ground
+cap.
 """
 
 import hashlib
@@ -28,6 +30,10 @@ PRESENTATIONS = ["meet_pair_a.json", "meet_pair_b.json", "minmax4.json",
                  "u34_second.json"]
 LATTICES = ["sample_lattice_r6.json", "nonclosed_meet_r3.json",
             "nonclosed_join_r6.json", "powerset_r5.json"]
+# The uniform presentation of the ideals of a 10-point poset: five
+# minimal points, whose least sets are themselves, and five above them,
+# so the scan walks the active indices and fans out the free ones.
+MIXED = ["poset10_uniform.json"]
 # Two presentations of one 18-element matroid, maximal and minimal: past
 # the 16-element cap on subset scans, which ``intersect`` never meets.
 PAIR18 = ["pair18_maximal.json", "pair18_minimal.json"]
@@ -46,8 +52,8 @@ LATTICE_FILE_CALLS = [argv for f in LATTICES
                       for argv in (["irreducibles", f], ["construct-maximal", f],
                                    ["construct-uniform", f, "--n", "7"])]
 CALLS = (
-    [["lattice", f] for f in PRESENTATIONS]
-    + [["lattice", "--dot", f] for f in PRESENTATIONS]
+    [["lattice", f] for f in PRESENTATIONS + MIXED]
+    + [["lattice", "--dot", f] for f in PRESENTATIONS + MIXED]
     + LATTICE_FILE_CALLS
     + [["ideals", "poset_vee.json"], ["ideals", "--dot", "poset_vee.json"]]
     + [["intersect", a, b] for a, b in INTERSECT_PAIRS]
@@ -85,6 +91,7 @@ GOLDEN = {
     'lattice u34_maximal.json': (0, '69d5cabdcdb3775c', 'e3b0c44298fc1c14'),
     'lattice u34_minimal.json': (0, 'c1d0edeec9a67efa', 'e3b0c44298fc1c14'),
     'lattice u34_second.json': (0, '69d5cabdcdb3775c', 'e3b0c44298fc1c14'),
+    'lattice poset10_uniform.json': (0, '4a59a60ae542ffd2', 'e3b0c44298fc1c14'),
     'lattice --dot meet_pair_a.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
     'lattice --dot meet_pair_b.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
     'lattice --dot minmax4.json': (0, '598b6e7cf6841d4b', 'e3b0c44298fc1c14'),
@@ -94,6 +101,7 @@ GOLDEN = {
     'lattice --dot u34_maximal.json': (0, 'bc1fe0ff29829c13', 'e3b0c44298fc1c14'),
     'lattice --dot u34_minimal.json': (0, '21c1f79024d43e66', 'e3b0c44298fc1c14'),
     'lattice --dot u34_second.json': (0, 'bc1fe0ff29829c13', 'e3b0c44298fc1c14'),
+    'lattice --dot poset10_uniform.json': (0, '31c919fd468472d2', 'e3b0c44298fc1c14'),
     'irreducibles sample_lattice_r6.json': (0, '0dc9e62653c672c8', 'e3b0c44298fc1c14'),
     'construct-maximal sample_lattice_r6.json': (0, '602f89a2a5c4ba5a', 'e3b0c44298fc1c14'),
     'construct-uniform sample_lattice_r6.json --n 7': (0, '2b45cb124858a5b8', 'e3b0c44298fc1c14'),

@@ -175,11 +175,14 @@ def test_sorted_members_of_a_large_powerset():
 def reach_vectors(draw):
     """``reach[k]`` for r <= 10 indices: each a random mask, bit k set or not.
 
-    Some vectors leave every index inactive (``reach[k]`` inside {k}) and
-    some make every index active (a bit other than k in ``reach[k]``).
+    Some vectors leave every index inactive (``reach[k]`` inside {k}),
+    some make every index active (a bit other than k in ``reach[k]``),
+    and some clear a drawn set of indices from every other reach, so
+    that those indices stay inactive while the rest may not.
     """
     r = draw(st.integers(0, 10))
-    kind = draw(st.sampled_from(["mixed", "inactive", "active"]))
+    kind = draw(st.sampled_from(["mixed", "inactive", "active", "free"]))
+    free = draw(st.integers(0, (1 << r) - 1)) if kind == "free" else 0
     reach = []
     for k in range(r):
         own = draw(st.booleans()) << k
@@ -187,7 +190,7 @@ def reach_vectors(draw):
         if kind == "inactive" or not others:
             reach.append(own)
             continue
-        mask = draw(st.integers(0, (1 << r) - 1)) & ~(1 << k)
+        mask = draw(st.integers(0, (1 << r) - 1)) & ~(1 << k) & ~free
         if kind == "active":
             mask |= 1 << draw(st.sampled_from(others))
         reach.append(own | mask)
@@ -209,20 +212,36 @@ def test_closed_sets_match_the_full_scan(reach):
         assert got == list(range(1 << len(reach)))
 
 
+class CountingLeast(list):
+    """A least map that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
 def test_closed_sets_read_no_reach_of_an_inactive_index():
     """Indices whose least set is only themselves are never tested."""
-
-    class CountingLeast(list):
-        reads = 0
-
-        def __getitem__(self, k):
-            self.reads += 1
-            return super().__getitem__(k)
-
     r = 12
     least = CountingLeast(1 << k for k in range(r))
     assert closed_sets(least) == list(range(1 << r))
     assert least.reads <= r
+
+
+def test_closed_sets_read_each_active_reach_at_most_once_per_walked_set():
+    """With a active indices the walk tests 2^a sets, each on at most a
+    least sets, however many free indices it fans out."""
+    r, a = 12, 3
+    plain = [1 << k for k in range(r)]
+    plain[4] |= 1 << 1
+    plain[7] |= 1 << 9
+    plain[11] |= plain[4]
+    least = CountingLeast(plain)
+    reach = [mask_of(i for i in range(r) if plain[i] >> k & 1) for k in range(r)]
+    assert closed_sets(least) == brute_closed_sets(reach)
+    assert least.reads <= a << a
 
 
 def test_intersection_closure():

@@ -14,7 +14,7 @@ from tmlat.extlattice import (common_extension_lattice, extend,
                               extension_lattice_from_supports,
                               extension_matroid, extension_matroids,
                               hasse_dot, index_closure, irreducibles,
-                              is_index_closed, least_map, tight_supports)
+                              least_map, tight_supports)
 from tmlat.matroid import Matroid
 from tmlat.presentations import _with_bit, preceq
 from tmlat.verify import (_all_poset_lattices, circuit_support_identity,

@@ -468,6 +468,17 @@ def test_roundtrip_reads_each_build_pass_once():
     assert matching.element_supports.cache_info().misses == 968
 
 
+def test_charmin_reads_the_pass_once_per_identity_check():
+    """Each trial makes one matching pass; ``circuit_support_identity``
+    reads a member's closure and its witnesses off one lookup of it."""
+    matching.deletion_reach.cache_clear()
+    matching.element_supports.cache_clear()
+    rep = check_charmin(r=4, trials=20, seed=7)
+    assert rep.ok and rep.instances == 20
+    reach = matching.deletion_reach.cache_info()
+    assert (reach.misses, reach.hits) == (20, 169)
+
+
 def test_charmin_checks_the_least_map_against_index_closure(monkeypatch):
     """A ``least_map`` that returns the identity builds the powerset, whose
     map ``index_closure`` refutes on a presentation that is not minimal."""
