@@ -84,12 +84,22 @@ def build_maximal_presentation(lat: SubsetLattice) -> SetSystem:
     names: list[str] = []
     sets = [0] * lat.r
     for j in sorted(set(lat.least_containing().values()) - {0}, key=family_key):
-        block = ((1 << (j.bit_count() + 1)) - 1) << len(names)
-        stem = "-".join(map(str, index_list(j)))
-        names.extend(f"{stem}:{k}" for k in range(j.bit_count() + 1))
+        block = _block_names(j)
+        bits = ((1 << len(block)) - 1) << len(names)
+        names += block
         for i in bit_indices(j):
-            sets[i] |= block
+            sets[i] |= bits
     return SetSystem(GroundSet(tuple(names)), tuple(sets))
+
+
+@lru_cache(maxsize=256)  # keys are index masks, up to 2^32 of them
+def _block_names(j: int) -> tuple[str, ...]:
+    """The names ``"1-3:0"``..``"1-3:2"`` of the block of join-irreducible
+    J = {1, 3}: its indices, then a number from 0 to |J|.  Lattices on
+    the same indices share their join-irreducibles, so a caller building
+    many of them names each block once."""
+    stem = "-".join(map(str, index_list(j)))
+    return tuple(f"{stem}:{k}" for k in range(j.bit_count() + 1))
 
 
 def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
@@ -112,8 +122,11 @@ def build_uniform_presentation(lat: SubsetLattice, n: int) -> SetSystem:
         raise ValueError("an index appears first in no member")
     sets = [((1 << n) - 1) & ~((1 << r) - 1)] * r
     for j, m in least.items():
-        for i in bit_indices(m):
-            sets[i] |= 1 << j
+        bit = 1 << j
+        while m:
+            low = m & -m
+            sets[low.bit_length() - 1] |= bit
+            m ^= low
     return SetSystem(_numbered_ground(n), tuple(sets))
 
 

@@ -278,9 +278,6 @@ class SubsetLattice:
     def __contains__(self, mask: int) -> bool:
         return mask in self.members
 
-    def __iter__(self):
-        return iter(self.sorted_members())
-
     def sorted_members(self) -> tuple[int, ...]:
         """The members in ``family_key`` order, sorted once per lattice.
 

@@ -347,6 +347,14 @@ def test_negative_trials_exit_2(capsys, suite):
         capsys.readouterr().err
 
 
+def test_trials_that_are_not_an_integer_exit_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "charmin", "--trials", "x"])
+    assert err.value.code == 2
+    assert "--trials: expected a non-negative integer, got 'x'" in \
+        capsys.readouterr().err
+
+
 # Flags a suite does not read, each beside one it reads where it has any.
 @pytest.mark.parametrize("argv, unread", [
     (["roundtrip", "--r", "99", "--trials", "3", "--seed", "1"],
@@ -391,6 +399,13 @@ def test_set_option_usage_and_range(capsys, command):
     assert "--set" in capsys.readouterr().err
     code, out, err = run(capsys, command, path("u34_first.json"), "--set", "4")
     assert code == 3 and out == "" and err == "error: index 4 outside 1..3\n"
+
+
+def test_lattice_file_index_outside_r_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": 3, "sets": [[], [4], [1, 2, 3]]}))
+    assert run(capsys, "irreducibles", str(bad)) == (
+        3, "", "error: index 4 outside 1..3\n")
 
 
 def test_invalid_input_exits_3(capsys, tmp_path):

@@ -38,6 +38,15 @@ def test_ground_set_basics():
         GroundSet(("a", "a"))
 
 
+def test_set_system_refuses_no_sets_and_bits_outside_the_ground():
+    g = GroundSet(("a", "b"))
+    with pytest.raises(ValueError, match="^a set system needs at least one set$"):
+        SetSystem(g, ())
+    with pytest.raises(ValueError,
+                       match="^set contains bits outside the ground set$"):
+        SetSystem(g, (0b01, 0b100))
+
+
 def test_parse_presentation_examples():
     doc = {"ground": ["a", "b", "c", "d"],
            "sets": [["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]}
@@ -391,8 +400,6 @@ UNCALLED_ON_PURPOSE = {
                      "the transversality test",
     "is_transversal": "the transversality test as a yes-or-no answer",
     "preceq": "the index-wise order on presentations",
-    "is_maximal": "whether a presentation is the maximal one, the "
-                  "counterpart of is_minimal",
     "max_matching": "a maximum matching itself, not only its size, in the "
                     "pair form the cached pass keeps; the package reads the "
                     "pass's matchings instead",

@@ -528,6 +528,14 @@ def test_matroid_json_round_trip(nontransversal_meet):
             parse_matroid(bad)
 
 
+@pytest.mark.parametrize("bases, message", [
+    ([], "empty basis family"),
+    ([["a"], ["a", "b"]], "bases not equicardinal")], ids=["empty", "unequal"])
+def test_parse_matroid_refuses_a_degenerate_basis_family(bases, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_matroid({"ground": ["a", "b"], "bases": bases})
+
+
 def test_exchange_axiom_checked_once_per_input(monkeypatch, u34_first):
     """``from_bases`` checks the axiom; the transversality test searches
     the parsed matroid itself and checks no basis family again."""

@@ -13,7 +13,7 @@ from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
 from tmlat.presentations import (is_minimal, presentation_rank,
-                                 reindexing_equivalent)
+                                 reindexing_equivalent, removable_pairs)
 from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           census_sublattices, check_charmin, check_classification,
                           check_intersection, check_roundtrip,
@@ -414,6 +414,35 @@ def test_roundtrip_reports_a_uniform_build_off_the_lattice(monkeypatch):
     monkeypatch.setattr(verify, "build_uniform_presentation", dropped)
     rep = check_roundtrip(3)
     assert "uniform build misses the lattice at r=2, n=2" in rep.failures
+    assert "uniform build support law fails at i=2" in rep.failures
+
+
+def test_uniformity_counts_match_the_subset_scan_on_the_roundtrip_builds(
+        monkeypatch):
+    """Every uniform build ``check_roundtrip(4)`` makes, and each of them
+    with one membership dropped, gets the subset scan's verdict."""
+    real = verify.build_uniform_presentation
+    builds = []
+
+    def recorded(lat, n):
+        builds.append(real(lat, n))
+        return builds[-1]
+
+    monkeypatch.setattr(verify, "build_uniform_presentation", recorded)
+    assert check_roundtrip(4).ok
+    assert len(builds) == 726
+    verdicts = Counter()
+    for system in builds:
+        assert _is_uniform(system)
+        for i, a in enumerate(system.sets):
+            for e in bit_indices(a):
+                sets = list(system.sets)
+                sets[i] &= ~(1 << e)
+                less = SetSystem(system.ground, tuple(sets))
+                verdict = _is_uniform(less)
+                assert verdict == brute_is_uniform(less, less.r, less.ground.n)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_roundtrip_reports_a_maximal_build_off_the_lattice(monkeypatch):
@@ -437,6 +466,26 @@ def test_roundtrip_reports_a_maximal_build_off_the_lattice(monkeypatch):
     rep = check_roundtrip(3)
     assert ("maximal build misses the lattice at r=2: ['{1,2}', '{1}', '{}']"
             in rep.failures)
+
+
+def test_roundtrip_reports_a_maximal_build_that_is_not_maximal(monkeypatch):
+    """Drop from each maximal build its first removable pair: the matroid
+    stays the same, so that pair becomes addable."""
+    real = verify.build_maximal_presentation
+
+    def dropped(lat):
+        system = real(lat)
+        pairs = removable_pairs(system)
+        if not pairs:
+            return system
+        i, e = pairs[0]
+        sets = list(system.sets)
+        sets[i] &= ~(1 << e)
+        return dataclasses.replace(system, sets=tuple(sets))
+
+    monkeypatch.setattr(verify, "build_maximal_presentation", dropped)
+    rep = check_roundtrip(3)
+    assert "maximal build is not maximal at r=2" in rep.failures
 
 
 def test_roundtrip_scans_only_the_poset_lattices(monkeypatch):
