@@ -11,8 +11,10 @@ from __future__ import annotations
 from . import matching
 from .core import SetSystem, bit_indices
 
-# Presentations one ``minimal_presentations_below`` walk may visit; the
-# walk can grow exponentially with the input, so past this it fails.
+# Presentations one ``minimal_presentations_below`` walk may reach.  It
+# reaches each at most once, but their number, like the number of
+# minimal presentations, can grow exponentially with the input, so past
+# this the walk fails.
 MINIMAL_BUDGET = 50_000
 
 
@@ -136,45 +138,82 @@ def cover_chain(system: SetSystem) -> tuple[SetSystem, ...]:
 def minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSystem]:
     """All minimal presentations of the same matroid index-wise below this one.
 
-    With a nonempty ``keep`` mask the result is filtered to presentations
-    preserving the supports of every kept element; deleting the kept
+    With a nonempty ``keep`` mask only presentations preserving the
+    supports of every kept element are listed; deleting the kept
     elements must not drop the rank.  A walk that visits more than
     ``MINIMAL_BUDGET`` presentations raises ValueError.
+
+    The walk shrinks one set at a time, in index order.  At level i the
+    sets before i are final and those after i are the input's; a
+    depth-first search over the values X of set i carries a maximum
+    matching of E - X, which never uses set i.  Element e leaves set i,
+    keeping the matroid, exactly when it augments that matching through
+    its sets other than i (the criterion of ``removable_pairs``), and
+    the augmented copy is then a maximum matching of E - (X - e).  The
+    matching has at most r - 1 edges.  With fewer, E - X does not span
+    the rank r - 1 matroid of the sets other than i, so some element of
+    X augments.  With r - 1, no element of X lies in the hyperplane
+    cl(E - X), since one matched to set i would extend a basis of E - X
+    to r independent elements.  So X is then the cocircuit E - cl(E - X),
+    no element leaves, and the walk moves on to set i + 1.
+
+    Let B be a minimal presentation below the input A that keeps the
+    kept elements.  Every C with B <= C <= A presents the matroid, since
+    its independent sets lie between those of B and of A.  So at level
+    i, with the sets before i those of B, each removal of an element of
+    A_i - B_i on the way down to B_i is one the search can make, and the
+    search reaches B_i.  The sets of B are cocircuits, which form an
+    antichain, so no value strictly above B_i is one and the search
+    moves on below B_i alone.  A level's search reaches each value of X
+    once, and the sets before i fix the level, so B is reached along one
+    path and the output needs no dedupe.  Kept elements never leave; a
+    branch in which only kept elements could leave lists nothing.  Each
+    presentation charged to the budget presents the matroid below A, so
+    a walk over every such presentation visits it too.
     """
     require_full_rank(system)
     r = system.r
-    if keep:
-        if matching.rank(system, system.ground.full_mask & ~keep) != r:
-            raise ValueError("kept elements must leave the rank intact")
-    seen: set[tuple[int, ...]] = set()
-    found: dict[tuple[int, ...], SetSystem] = {}
+    full = system.ground.full_mask
+    if keep and matching.rank(system, full & ~keep) != r:
+        raise ValueError("kept elements must leave the rank intact")
+    out: list[SetSystem] = []
+    visits = 1
 
-    def visit(key: tuple[int, ...]):
-        """Mark ``key`` seen; return it with an iterator over its removals."""
-        # only unseen keys become systems, since most steps revisit one
-        seen.add(key)
-        if len(seen) > MINIMAL_BUDGET:
-            raise ValueError("minimal presentation walk capped at "
-                             f"{MINIMAL_BUDGET} visited presentations")
-        current = SetSystem(system.ground, key)
-        pairs = removable_pairs(current)
-        if not pairs:
-            found[key] = current
-        return key, iter(pairs)
+    def below(current: tuple[int, ...], sup: tuple[int, ...], i: int) -> None:
+        """List the minimal presentations below ``current`` that keep its
+        first i sets; ``sup`` holds the element supports of ``current``."""
+        nonlocal visits
+        if i == r:
+            out.append(SetSystem(system.ground, current))
+            return
+        bit = 1 << i
+        start = current[i]
+        seen = {start}
+        # set i is blocked in every search, so its stale bits in sup
+        # never matter until the level ends
+        todo = [(start, matching._max_matching_owner(
+            system, full & ~start, sup=sup))]
+        while todo:
+            x, owner = todo.pop()
+            if len(owner) == r - 1:
+                cut = list(sup)
+                for e in bit_indices(start & ~x):
+                    cut[e] &= ~bit
+                below(current[:i] + (x,) + current[i + 1:], tuple(cut), i + 1)
+                continue
+            for e in bit_indices(x & ~keep):
+                child = x & ~(1 << e)
+                if child in seen:
+                    continue
+                trial = dict(owner)
+                if not matching.augment(sup, trial, e, bit):
+                    continue
+                seen.add(child)
+                visits += 1
+                if visits > MINIMAL_BUDGET:
+                    raise ValueError("minimal presentation walk capped at "
+                                     f"{MINIMAL_BUDGET} visited presentations")
+                todo.append((child, trial))
 
-    # Depth first, one stack entry per presentation on the current path:
-    # a path can be r(r - 1) removals long, too deep for recursion.
-    stack = [visit(system.sets)]
-    while stack:
-        key, pairs = stack[-1]
-        for i, e in pairs:
-            below = key[:i] + (key[i] & ~(1 << e),) + key[i + 1:]
-            if below not in seen:
-                stack.append(visit(below))
-                break
-        else:
-            stack.pop()
-    out = [c for c in found.values()
-           if all(c.support(1 << e) == system.support(1 << e)
-                  for e in bit_indices(keep))]
+    below(system.sets, matching.element_supports(system), 0)
     return sorted(out, key=lambda c: c.sets)

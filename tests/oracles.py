@@ -18,6 +18,8 @@ member, not only to each join-irreducible, and the uniform one fills
 each set by its own pass over the least map.  The moves
 between presentations re-match every basis after each single change,
 or re-match the deletion of a set without each outside element.  The
+minimal presentations below one come from the walk over every
+presentation between them, one matching pass per visit.  The
 verify suites' inputs and checks come from the walks they replaced:
 every subset of relation pairs closed and deduplicated, one matching per r-subset for uniformity, and maximal
 sublattices by comparing all pairs of candidates.  Lattice files are
@@ -55,8 +57,8 @@ from tmlat.extlattice import (CommonExtensions, extend, extension_matroids,
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, index_list, lattice_doc, mask_of)
 from tmlat.matroid import ENUM_LIMIT, Matroid, _cocircuit_search
-from tmlat.presentations import (_with_bit, is_maximal, preceq,
-                                 require_full_rank)
+from tmlat.presentations import (MINIMAL_BUDGET, _with_bit, is_maximal,
+                                 preceq, removable_pairs, require_full_rank)
 from tmlat.verify import closed_family_table, family_members
 
 
@@ -630,6 +632,71 @@ def brute_maximalize(system):
             return current
         i, e = pairs[0]
         current = _with_bit(current, i, e, True)
+
+
+class BudgetProbe(int):
+    """A walk budget that records the largest visit count compared with it.
+
+    A walk checks ``visits > MINIMAL_BUDGET`` as it charges a visit.  The
+    probe subclasses int, so that test asks the probe's ``__lt__`` first,
+    and ``peak`` ends at the number of presentations the walk charged:
+    the refused one included when the walk stops at its budget.
+    """
+
+    peak = 1
+
+    def __lt__(self, other):
+        self.peak = max(self.peak, other)
+        return int(self) < other
+
+
+def brute_minimal_presentations_below(system: SetSystem, keep: int = 0) -> list[SetSystem]:
+    """All minimal presentations of the same matroid index-wise below this one,
+    by visiting every presentation between them and the input, in every
+    order of removals, each with its own matching pass.
+
+    With a nonempty ``keep`` mask the result is filtered to presentations
+    preserving the supports of every kept element; deleting the kept
+    elements must not drop the rank.  A walk that visits more than
+    ``MINIMAL_BUDGET`` presentations raises ValueError.
+    """
+    require_full_rank(system)
+    r = system.r
+    if keep:
+        if matching.rank(system, system.ground.full_mask & ~keep) != r:
+            raise ValueError("kept elements must leave the rank intact")
+    seen: set[tuple[int, ...]] = set()
+    found: dict[tuple[int, ...], SetSystem] = {}
+
+    def visit(key: tuple[int, ...]):
+        """Mark ``key`` seen; return it with an iterator over its removals."""
+        # only unseen keys become systems, since most steps revisit one
+        seen.add(key)
+        if len(seen) > MINIMAL_BUDGET:
+            raise ValueError("minimal presentation walk capped at "
+                             f"{MINIMAL_BUDGET} visited presentations")
+        current = SetSystem(system.ground, key)
+        pairs = removable_pairs(current)
+        if not pairs:
+            found[key] = current
+        return key, iter(pairs)
+
+    # Depth first, one stack entry per presentation on the current path:
+    # a path can be r(r - 1) removals long, too deep for recursion.
+    stack = [visit(system.sets)]
+    while stack:
+        key, pairs = stack[-1]
+        for i, e in pairs:
+            below = key[:i] + (key[i] & ~(1 << e),) + key[i + 1:]
+            if below not in seen:
+                stack.append(visit(below))
+                break
+        else:
+            stack.pop()
+    out = [c for c in found.values()
+           if all(c.support(1 << e) == system.support(1 << e)
+                  for e in bit_indices(keep))]
+    return sorted(out, key=lambda c: c.sets)
 
 
 def brute_poset_lattices(max_points: int):

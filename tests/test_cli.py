@@ -492,6 +492,15 @@ def test_non_integer_fields_exit_3(capsys, tmp_path, command, doc, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("points", [17, -1])
+def test_poset_size_out_of_range_exits_3(capsys, tmp_path, points):
+    bad = tmp_path / "poset.json"
+    bad.write_text(json.dumps({"points": points, "less": []}))
+    code, out, err = run(capsys, "ideals", str(bad))
+    assert (code, out) == (3, "")
+    assert err == "error: poset size out of range\n"
+
+
 @pytest.mark.parametrize("r, sets", [
     (33, [[]]), (-1, [[]]),
     # an index outside 1..r gets the r message when r is out of range too
@@ -633,6 +642,15 @@ def test_intersect_different_matroids_exits_3(capsys, tmp_path):
     assert err == "error: the two systems present different matroids\n"
 
 
+def test_intersect_different_grounds_exits_3(capsys, tmp_path):
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(
+        {"ground": ["a", "b", "c", "e"], "sets": [["a", "b"], ["c"], ["e"]]}))
+    code, out, err = run(capsys, "intersect", path("u34_first.json"), str(other))
+    assert (code, out) == (3, "")
+    assert err == "error: presentations live on different ground sets\n"
+
+
 def test_intersect_rank_deficient_input_gets_the_rank_message(capsys, tmp_path):
     """The full-rank check of each side comes before the matroid comparison."""
     short = tmp_path / "short.json"
@@ -725,7 +743,7 @@ def test_t_lattice_budget_counts_every_extension(capsys, tmp_path):
 
 
 def test_minimal_budget_spares_the_largest_fixture_walk(capsys):
-    """``pair18_maximal.json`` visits 3,025 presentations, far under the
+    """``pair18_maximal.json`` visits 2,377 presentations, far under the
     budget; its output keeps the bytes it had before there was one."""
     import hashlib
 
@@ -734,33 +752,63 @@ def test_minimal_budget_spares_the_largest_fixture_walk(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "8929cdb33adeb524"
 
 
-def test_minimal_walk_fails_fast(capsys, tmp_path):
-    """The five 4-subsets of five elements have about half a million
-    presentations below them; the walk stops at its budget.  The bound
-    is on presentations visited, which the budget fixes on every host;
-    CPU time per visit differed about 3x between the hosts measured.
-    The walk asks `removable_pairs` once per visited presentation, so a
-    walk past its budget fails here at its next visit, not after the
-    full walk."""
-    from tmlat import presentations
-    from tmlat.presentations import MINIMAL_BUDGET
+def test_minimal_leaves_the_matching_caches_alone(capsys):
+    """The walk carries its matchings down instead of asking the cached
+    pass at each visit, so the only pass it asks for is the input's."""
+    from tmlat import matching
 
-    visits = 0
-    removable_pairs = presentations.removable_pairs
+    matching.deletion_reach.cache_clear()
+    matching.element_supports.cache_clear()
+    code, _, _ = run(capsys, "minimal", path("pair18_maximal.json"))
+    assert code == 0
+    assert matching.deletion_reach.cache_info().misses <= 1
 
-    def counted(system):
-        nonlocal visits
-        visits += 1
-        if visits > MINIMAL_BUDGET:
-            pytest.fail("walk ran past its budget")
-        return removable_pairs(system)
+
+def test_minimal_answers_the_five_four_subsets(capsys, tmp_path):
+    """The five 4-subsets of five elements present the free matroid, so
+    the minimal presentations below them are the 44 derangements of the
+    five elements.  The digest was taken once from the interval walk in
+    ``tests/oracles.py`` with its budget lifted: 504,735 visits."""
+    import hashlib
+
+    from tmlat.presentations import is_minimal, maximalize, preceq
 
     doc = tmp_path / "p.json"
     doc.write_text(json.dumps({"ground": list("abcde"), "sets": [
         [x for x in "abcde" if x != y] for y in "edcba"]}))
-    with mock.patch.object(presentations, "removable_pairs", counted):
-        code, out, err = run(capsys, "minimal", str(doc))
-    assert visits == MINIMAL_BUDGET
+    code, out, err = run(capsys, "minimal", str(doc))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "019c78c003d550c0"
+    system = parse_presentation(doc.read_text())
+    below = [parse_presentation(json.dumps(c))
+             for c in json.loads(out)["presentations"]]
+    assert len(below) == 44
+    top = maximalize(system).sets
+    for c in below:
+        assert is_minimal(c) and preceq(c, system)
+        assert maximalize(c).sets == top
+
+
+def test_minimal_walk_fails_fast(capsys, tmp_path, monkeypatch):
+    """32 copies of a 64-element ground have far more minimal presentations
+    below them than the budget allows.  The walk charges the budget once
+    per presentation it reaches and stops at the first one past it, so it
+    fails with one line after exactly ``MINIMAL_BUDGET`` presentations,
+    not after the full walk.  The wall bound is only a backstop."""
+    from tmlat import presentations
+    from tmlat.presentations import MINIMAL_BUDGET
+
+    from .oracles import BudgetProbe
+
+    budget = BudgetProbe(MINIMAL_BUDGET)
+    monkeypatch.setattr(presentations, "MINIMAL_BUDGET", budget)
+    names = [f"e{i}" for i in range(64)]
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"ground": names, "sets": [names] * 32}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "minimal", str(doc))
+    assert time.perf_counter() - start < 10.0
+    assert budget.peak == MINIMAL_BUDGET + 1
     assert (code, out) == (3, "")
     assert err == (f"error: minimal presentation walk capped at "
                    f"{MINIMAL_BUDGET} visited presentations\n")
@@ -768,9 +816,10 @@ def test_minimal_walk_fails_fast(capsys, tmp_path):
 
 def test_minimal_walk_at_rank_32_stops_at_its_budget(capsys, tmp_path,
                                                      monkeypatch):
-    """32 copies of a 33-element ground: a walk path can be r(r - 1) = 992
-    removals long, deeper than Python's recursion limit.  The walk keeps
-    its path on a stack, so it ends at its budget, with one line."""
+    """32 copies of a 33-element ground: a path to the first minimal
+    presentation is r(r - 1) = 992 removals long, deeper than Python's
+    recursion limit.  The walk recurses once per set, not per removal,
+    so it ends at its budget, with one line."""
     from tmlat import presentations
 
     monkeypatch.setattr(presentations, "MINIMAL_BUDGET", 1000)

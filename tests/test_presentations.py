@@ -1,11 +1,12 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tmlat import matching
+from tmlat import matching, presentations
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 from tmlat.extlattice import index_closure, least_map
 from tmlat.matroid import Matroid
@@ -15,7 +16,9 @@ from tmlat.presentations import (addable_pairs, cover_chain, deletion_ranks,
                                  presentation_rank, reindexing_equivalent,
                                  removable_pairs, require_full_rank, _with_bit)
 
-from .oracles import (brute_addable_pairs, brute_maximalize,
+from . import oracles
+from .oracles import (BudgetProbe, brute_addable_pairs, brute_maximalize,
+                      brute_minimal_presentations_below,
                       brute_removable_pairs, prec)
 
 
@@ -152,6 +155,48 @@ def test_minimal_below_matches_exhaustive_enumeration(u34_first):
             expected.add(candidate.sets)
     got = {c.sets for c in minimal_presentations_below(system)}
     assert got == expected
+
+
+@st.composite
+def presentations_with_keeps(draw):
+    """Full-rank presentations of 1-5 sets on at most 8 elements, half of
+    them maximalized, each with up to three kept elements."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 8))
+    diagonal = draw(st.permutations(range(n)))[:r]
+    sets = tuple(draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal)
+    system = SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), sets)
+    if draw(st.booleans()):
+        system = maximalize(system)
+    kept = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return system, sum(1 << e for e in kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_keeps())
+def test_minimal_walk_matches_the_interval_walk(drawn):
+    """The same sorted output as the walk over every presentation between
+    the input and its minimal ones, the same refusal of a kept set that
+    drops the rank, and never more presentations charged: the walk runs
+    with its budget set to the visits the oracle made.  The oracle's own
+    budget is lowered to bound the test's time; draws it refuses are
+    skipped."""
+    system, keep = drawn
+    oracle_budget = BudgetProbe(2_000)
+    with mock.patch.object(oracles, "MINIMAL_BUDGET", oracle_budget):
+        try:
+            want = brute_minimal_presentations_below(system, keep)
+        except ValueError as err:
+            assume("capped" not in str(err))
+            with pytest.raises(ValueError) as got:
+                minimal_presentations_below(system, keep)
+            assert str(got.value) == str(err)
+            return
+    budget = BudgetProbe(oracle_budget.peak)
+    with mock.patch.object(presentations, "MINIMAL_BUDGET", budget):
+        got = minimal_presentations_below(system, keep)
+    assert [c.sets for c in got] == [c.sets for c in want]
+    assert budget.peak <= oracle_budget.peak
 
 
 def test_keep_precondition(u34_first):
