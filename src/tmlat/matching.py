@@ -23,16 +23,21 @@ matchings into one of E for the rank of the whole system.  The pass
 keeps every one of those matchings, read-only, so a caller that needs
 a basis of E or of some E - A_k reads it there, and a caller that needs
 the coloops of M|(E - A_k) reads them off it with ``coloop_mask``.
-``deletion_reach`` memoizes the pass.  Closure scans, the moves between
-presentations, the full-rank check and the circuit-support certificate
-reduce to reading those numbers, bit tests against those masks, and
-closures over those matchings.  ``max_matching`` hands a matching out
-as its sorted (element, set index) pairs.
+``deletion_reach`` memoizes the pass.  Inside a ``shared_deletions``
+block, passes over many systems share their deletions: one E - A_k is
+matched once however many systems cut their sets down to the same sets
+on it, and the block's table is dropped when the block ends.  Closure
+scans, the moves between presentations, the full-rank check and the
+circuit-support certificate reduce to reading those numbers, bit tests
+against those masks, and closures over those matchings.
+``max_matching`` hands a matching out as its sorted (element, set
+index) pairs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import contextmanager
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -230,6 +235,45 @@ class Deletions(NamedTuple):
     matching: Mapping[int, int]  # set index to element
 
 
+# Deletions already computed, by their sets cut down to E - A_k, while
+# ``shared_deletions`` is active; None outside it.
+_shared: dict[tuple[int, ...], Deletion] | None = None
+
+
+@contextmanager
+def shared_deletions():
+    """Let every ``deletion_pass`` run inside the block share deletions.
+
+    A fresh table is installed on entry and the previous one restored
+    on exit, raised or not, so the table never outlives the block and
+    no later call reads what the block computed.
+    """
+    global _shared
+    saved, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = saved
+
+
+def _deletion(system: SetSystem, rest: int, sup: tuple[int, ...],
+              index_mask: int) -> Deletion:
+    """The ``Deletion`` of ``deletion_pass`` for the elements ``rest``."""
+    owner = _max_matching_owner(system, rest, sup=sup)
+    reach = index_mask
+    for j in owner:
+        reach ^= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for j, e in owner.items():
+            bit = 1 << j
+            if not reach & bit and sup[e] & reach:
+                reach |= bit
+                changed = True
+    return Deletion(len(owner), reach, MappingProxyType(owner))
+
+
 def deletion_pass(system: SetSystem,
                   sup: tuple[int, ...] | None = None) -> Deletions:
     """Rank, reach mask and matching of each E - A_k, and the rank and a
@@ -250,26 +294,33 @@ def deletion_pass(system: SetSystem,
     ranks and reaches pay nothing for them.  This is the uncached pass,
     for systems no later call asks about again; ``deletion_reach``
     caches it.
+
+    Inside ``shared_deletions`` each deletion is first looked up in the
+    block's table by the system's sets cut down to E - A_k, and only a
+    key not yet there is matched.  That key fixes the deletion: the
+    matching walks the elements of E - A_k in ascending order along the
+    sets that hold them, which the key records index by index, and an
+    element of E - A_k in no set never matches.  So two systems, or two
+    sets of one system, with equal keys get equal ranks, reaches and
+    matchings, and the read-only ``Deletion`` is handed to both.  The
+    matching of E is grown for each pass on its own.
     """
     if sup is None:
         sup = element_supports(system)
     full = system.ground.full_mask
     index_mask = system.full_index_mask
+    table = _shared
     dels = []
     for a in system.sets:
-        owner = _max_matching_owner(system, full & ~a, sup=sup)
-        reach = index_mask
-        for j in owner:
-            reach ^= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for j, e in owner.items():
-                bit = 1 << j
-                if not reach & bit and sup[e] & reach:
-                    reach |= bit
-                    changed = True
-        dels.append(Deletion(len(owner), reach, MappingProxyType(owner)))
+        rest = full & ~a
+        if table is None:
+            d = _deletion(system, rest, sup, index_mask)
+        else:
+            key = tuple([b & rest for b in system.sets])
+            d = table.get(key)
+            if d is None:
+                d = table[key] = _deletion(system, rest, sup, index_mask)
+        dels.append(d)
     whole = _max_matching_owner(system, system.sets[0],
                                 dict(dels[0].matching), sup)
     return Deletions(len(whole), tuple(dels), MappingProxyType(whole))

@@ -248,6 +248,14 @@ def reference_deletion_pass(system) -> matching.Deletions:
         for owner in owners), MappingProxyType(whole))
 
 
+def pass_fields(dels: matching.Deletions):
+    """A pass as plain values, field for field: each deletion's rank,
+    reach and matching in insertion order, then the rank and matching
+    of E."""
+    return ([(d.rank, d.reach, list(d.matching.items())) for d in dels.sets],
+            dels.rank, list(dels.matching.items()))
+
+
 def brute_circuit_through(ext, mask, xbit):
     """Shrink a dependent set with independent core to a circuit through x."""
     for e in bit_indices(mask & ~xbit):

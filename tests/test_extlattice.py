@@ -13,8 +13,8 @@ from tmlat.extlattice import (common_extension_lattice, extend,
                               extension_lattice,
                               extension_lattice_from_supports,
                               extension_matroid, extension_matroids,
-                              hasse_dot, index_closure, irreducibles,
-                              least_map, tight_supports)
+                              fresh_label, hasse_dot, index_closure,
+                              irreducibles, least_map, tight_supports)
 from tmlat.matroid import Matroid
 from tmlat.presentations import _with_bit, preceq
 from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
@@ -362,6 +362,17 @@ def test_irreducibles_goldens(threelines_maximal):
                                                  [2, 3, 4], [3, 4]]
     assert members_of(least[0]) == [1, 2]
     assert len(join_irr) == len(meet_irr)
+
+
+def test_irreducibles_of_the_empty_family_is_refused():
+    with pytest.raises(ValueError, match="^empty family$"):
+        irreducibles(SubsetLattice(2, frozenset()))
+
+
+def test_fresh_label_skips_every_taken_suffix():
+    assert fresh_label(GroundSet(("a", "b"))) == "x"
+    assert fresh_label(GroundSet(("x", "a"))) == "x1"
+    assert fresh_label(GroundSet(("x", "x1", "a"))) == "x2"
 
 
 def members_of(mask):

@@ -1,5 +1,10 @@
+import operator
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Mapping
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,7 +15,7 @@ from tmlat import matching
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
 
 from .oracles import (brute_max_matching_owner, brute_rank, counting_independent,
-                      reference_deletion_pass)
+                      pass_fields, reference_deletion_pass)
 
 
 def test_matching_is_injective_and_supported(threelines_maximal):
@@ -156,11 +161,12 @@ def test_kept_dead_sets_change_no_assignment(case):
 
 
 @st.composite
-def full_rank_systems(draw):
-    """1-5 random sets on up to 8 elements, each set holding its own
-    element of a drawn diagonal, so the rank is the number of sets."""
-    r = draw(st.integers(1, 5))
-    n = draw(st.integers(r, 8))
+def full_rank_systems(draw, max_r=5, max_n=8):
+    """1-``max_r`` random sets on up to ``max_n`` elements, each set
+    holding its own element of a drawn diagonal, so the rank is the
+    number of sets."""
+    r = draw(st.integers(1, max_r))
+    n = draw(st.integers(r, max_n))
     diagonal = draw(st.permutations(range(n)))[:r]
     sets = tuple(draw(st.integers(0, (1 << n) - 1)) | 1 << e for e in diagonal)
     return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), sets)
@@ -280,3 +286,64 @@ def test_the_one_loop_pass_matches_the_reference(system):
             (w.rank, w.reach, list(w.matching.items())), k
     assert got.rank == want.rank
     assert list(got.matching.items()) == list(want.matching.items())
+
+
+def with_added_elements(system, extra):
+    """``system`` with ``extra`` new elements, each lying in every set."""
+    n = system.ground.n
+    names = system.ground.names + tuple(f"e{i}" for i in range(n, n + extra))
+    added = ((1 << extra) - 1) << n
+    return SetSystem(GroundSet(names), tuple(a | added for a in system.sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_systems(max_r=6, max_n=10), st.data())
+def test_shared_deletions_equal_the_unshared_pass(system, data):
+    """Under one table, a system and its copies with one or two elements
+    added to every set, passed in any order, each get the pass they get
+    with no table.  The copies cut every set down to the same sets on
+    each E - A_k, so all three hand out the same deletions."""
+    systems = data.draw(st.permutations(
+        [system, with_added_elements(system, 1),
+         with_added_elements(system, 2)]))
+    with matching.shared_deletions():
+        shared = [matching.deletion_pass(s) for s in systems]
+    for s, got in zip(systems, shared):
+        assert pass_fields(got) == pass_fields(matching.deletion_pass(s))
+    for other in shared[1:]:
+        assert all(map(operator.is_, shared[0].sets, other.sets))
+
+
+def test_the_shared_table_lives_only_inside_its_block():
+    """Each block installs a fresh table and restores the one before it,
+    also when the block raises."""
+    assert matching._shared is None
+    with matching.shared_deletions():
+        outer = matching._shared
+        assert outer == {}
+        with pytest.raises(RuntimeError):
+            with matching.shared_deletions():
+                assert matching._shared == {}
+                assert matching._shared is not outer
+                raise RuntimeError
+        assert matching._shared is outer
+    assert matching._shared is None
+
+
+def test_no_shared_table_at_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tmlat.matching; print(tmlat.matching._shared)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+def test_the_only_functools_caches_are_the_two_the_bench_empties():
+    """The benchmark runner empties ``element_supports`` and
+    ``deletion_reach`` before each operation; any other memo in the
+    module could carry work from one operation to the next."""
+    cached = {name for name, value in vars(matching).items()
+              if callable(getattr(value, "cache_clear", None))}
+    assert cached == {"element_supports", "deletion_reach"}

@@ -35,6 +35,10 @@ def test_closure_goldens(threelines_maximal, u34_first):
     assert u.closure(u.ground.mask("ab")) == u.ground.mask("ab")
 
 
+def test_repr_names_the_ground_size_and_the_bases(u34_first):
+    assert repr(Matroid.from_system(u34_first)) == "Matroid(n=4, 4 bases)"
+
+
 def test_closure_is_a_closure_operator(threelines_maximal):
     m = Matroid.from_system(threelines_maximal)
     rng = random.Random(3)

@@ -38,6 +38,11 @@ def test_reindexing_equivalence(u34_first):
     assert not preceq(u34_first, shuffled)
 
 
+def test_reindexing_equivalence_needs_one_ground(u34_first):
+    renamed = SetSystem(GroundSet(("a", "b", "c", "e")), u34_first.sets)
+    assert not reindexing_equivalent(u34_first, renamed)
+
+
 def test_presentation_rank_goldens(threelines_submaximal, threelines_maximal,
                                    u34_minimal, u34_maximal):
     assert deletion_ranks(threelines_submaximal) == [3, 3, 2, 3]

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -28,7 +29,7 @@ from tmlat.verify import _all_poset_lattices, _is_uniform
 from .oracles import (brute_catalog_members, brute_closed_family_table,
                       brute_is_uniform, brute_maximal_sublattices,
                       brute_poset_lattices, intersection_closure,
-                      union_intersection_closure)
+                      pass_fields, union_intersection_closure)
 
 
 def test_catalog_sizes():
@@ -515,6 +516,67 @@ def test_roundtrip_reads_each_build_pass_once():
     reach = matching.deletion_reach.cache_info()
     assert (reach.misses, reach.hits) == (968, 242)
     assert matching.element_supports.cache_info().misses == 968
+
+
+def _recording_builders(monkeypatch):
+    """Record every build ``check_roundtrip`` makes, in order."""
+    builds = []
+    for name in ("build_maximal_presentation", "build_uniform_presentation"):
+        real = getattr(verify, name)
+
+        def recorded(*args, real=real):
+            builds.append(real(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(verify, name, recorded)
+    return builds
+
+
+def test_roundtrip_passes_under_one_table_equal_the_unshared_passes(
+        monkeypatch):
+    """The pass each of the 968 builds gets inside the call, under the
+    call's one table, equals the pass it gets alone, field for field;
+    the 3,760 deletions of those passes are 434 shared objects."""
+    builds = _recording_builders(monkeypatch)
+    matching.deletion_reach.cache_clear()
+    assert check_roundtrip(4).ok
+    assert len(builds) == 968
+    shared = [matching.deletion_reach(system) for system in builds]
+    assert matching.deletion_reach.cache_info().misses == 968
+    for system, got in zip(builds, shared):
+        assert pass_fields(got) == pass_fields(matching.deletion_pass(system))
+    deletions = [d for dels in shared for d in dels.sets]
+    assert (len(deletions), len(set(map(id, deletions)))) == (3760, 434)
+
+
+def test_roundtrip_matches_each_distinct_deletion_once(monkeypatch):
+    """One matching per distinct E - A_k cut-down (434) and one of E per
+    build (968); without the shared table the call made 4,728."""
+    counting = mock.Mock(wraps=matching._max_matching_owner)
+    matching.deletion_reach.cache_clear()
+    matching.element_supports.cache_clear()
+    monkeypatch.setattr(matching, "_max_matching_owner", counting)
+    assert check_roundtrip(4).ok
+    assert counting.call_count == 1402
+
+
+def test_roundtrip_drops_its_table_on_return_and_on_raise(monkeypatch):
+    """The table is active while the builds are checked and gone after
+    the call, whether it returns or raises."""
+    assert matching._shared is None
+    assert check_roundtrip(3).ok
+    assert matching._shared is None
+    seen = []
+
+    def failing(lat, n):
+        seen.append(matching._shared)
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(verify, "build_uniform_presentation", failing)
+    with pytest.raises(RuntimeError, match="build failed"):
+        check_roundtrip(3)
+    assert len(seen) == 1 and isinstance(seen[0], dict)
+    assert matching._shared is None
 
 
 def test_charmin_reads_the_pass_once_per_identity_check():
