@@ -15,8 +15,8 @@ import signal
 import sys
 
 from . import extlattice, matching
-from .core import (SetSystem, SubsetLattice, as_document, index_list,
-                   lattice_doc, lattice_text, parse_lattice,
+from .core import (SetSystem, SubsetLattice, as_document, family_key,
+                   index_list, lattice_doc, lattice_text, parse_lattice,
                    parse_presentation, presentation_doc, require_int,
                    require_list)
 from .constructions import (build_maximal_presentation,
@@ -152,9 +152,8 @@ def cmd_supports(args) -> int:
     if args.keep is not None:
         masks = [system.support(system.ground.mask(args.keep))]
     else:
-        masks = sorted({system.support(1 << e)
-                        for e in range(system.ground.n)},
-                       key=lambda m: (m.bit_count(), m))
+        masks = sorted(set(matching.element_supports(system)),
+                       key=family_key)
     _emit({"r": system.r, "sets": [index_list(m) for m in masks]})
     return 0
 

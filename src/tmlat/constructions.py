@@ -11,7 +11,6 @@ test lattices from finite posets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
                    bit_indices, family_key, index_list)
@@ -20,14 +19,21 @@ from .core import (MAX_ELEMENTS, GroundSet, SetSystem, SubsetLattice,
 def validate_lattice(members, r: int) -> SubsetLattice:
     """Check closure under union/intersection and presence of {} and [r].
 
-    With {} in L, L is closed exactly when ``m | least[i]`` is in L for
-    every member m and index i, where ``least[i]`` is the intersection
-    of the members holding i (m = {} puts each ``least[i]`` in L): each
-    member is the union of the ``least[i]`` of its indices, and so is
-    each intersection of two.  That takes O(|L|·r) steps.  Only a family
-    that fails it meets the pairwise scan, which names the first missing
-    union or intersection.  The lattice returned already holds the
-    least-containing map, so later read-offs do not rebuild it.
+    With {} in L, L is closed exactly when every ``least[i]``, the
+    intersection of the members holding i, is in L and ``m | least[i]``
+    is in L for every member m and index i: each member is the union of
+    the ``least[i]`` of its indices, and so is each intersection of two.
+    That takes O(|L|·r) steps on every family.  A family that fails
+    names its own witness pair, lower mask first, at the first index i
+    that fails.
+
+    If ``least[i]`` is no member, let a be the lowest-mask member
+    holding i, and b the lowest-mask member holding i but not all of a.
+    Such a b exists: if every member holding i contained a, ``least[i]``
+    would be a.  And a & b is missing: it holds i, and as a proper
+    subset of a it has a lower mask than a.  Otherwise the witness is
+    the lowest-mask member m with ``m | least[i]`` missing.  The lattice returned already holds
+    the least-containing map, so later read-offs do not rebuild it.
     """
     mem = frozenset(members)
     full = (1 << r) - 1
@@ -36,16 +42,18 @@ def validate_lattice(members, r: int) -> SubsetLattice:
     if full not in mem:
         raise ValueError("the full index set is missing")
     lat = SubsetLattice(r, mem)  # refuses members outside the index range
-    least = set(lat.least_containing().values())
-    if all(m | j in mem for j in least for m in mem):
-        return lat
-    for a, b in combinations(mem, 2):
-        if (a | b) not in mem:
-            raise ValueError(f"union of {index_list(a)} and "
-                             f"{index_list(b)} is missing")
-        if (a & b) not in mem:
-            raise ValueError(f"intersection of {index_list(a)} and "
-                             f"{index_list(b)} is missing")
+    for i, j in lat.least_containing().items():
+        if j not in mem:
+            holding = [m for m in mem if m >> i & 1]
+            a = min(holding)
+            what, pair = "intersection", (a, min(m for m in holding if a & ~m))
+        elif missing := [m for m in mem if m | j not in mem]:
+            what, pair = "union", (min(missing), j)
+        else:
+            continue
+        a, b = sorted(pair)
+        raise ValueError(f"{what} of {index_list(a)} and "
+                         f"{index_list(b)} is missing")
     return lat
 
 

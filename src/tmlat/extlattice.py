@@ -24,7 +24,7 @@ from . import matching
 from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
                    family_key, index_texts, least_containing)
 from .matroid import Matroid
-from .presentations import maximalize, require_full_rank
+from .presentations import maximal_sets, maximalize, require_full_rank
 
 # The support route walks all 2^r index sets; the scan walks the 2^a
 # subsets of its a active indices and lists up to 2^r members.
@@ -243,11 +243,8 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
         for i in extension_lattice(system).sorted_members():
             ext = extend(system, i, label)
             ext_sup = sup + (i,)
-            full = ext.ground.full_mask
-            dels = matching.deletion_pass(ext, ext_sup).sets
-            out[i] = tuple(sorted(
-                s | matching.coloop_mask(full & ~s, d.matching, ext_sup)
-                for s, d in zip(ext.sets, dels)))
+            out[i] = tuple(sorted(maximal_sets(
+                ext, matching.deletion_pass(ext, ext_sup).sets, ext_sup)))
         return out
 
     by_key = {key: j for j, key in keys(b).items()}

@@ -65,19 +65,27 @@ def is_minimal(system: SetSystem) -> bool:
     return all(d == r - 1 for d in deletion_ranks(system))
 
 
-def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
-    """(set index, element) pairs whose addition preserves the matroid.
+def maximal_sets(system: SetSystem, dels, sup) -> tuple[int, ...]:
+    """Each set of ``system`` joined with the coloops of its deletion.
 
-    Adding e to the i-th set is sound exactly when e is a coloop of the
-    deletion of that set, which ``coloop_mask`` reads off the matching
-    of that deletion the cached pass keeps.
+    ``dels`` holds the matching pass's ``Deletion`` of each set and
+    ``sup`` the element supports.  Adding e to the i-th set keeps the
+    matroid exactly when e is a coloop of the deletion of that set,
+    which ``coloop_mask`` reads off the matching of that deletion the
+    pass keeps.
     """
-    dels = require_full_rank(system).sets
     full = system.ground.full_mask
-    sup = matching.element_supports(system)
-    return [(i, e) for i, (a, d) in enumerate(zip(system.sets, dels))
-            for e in bit_indices(
-                matching.coloop_mask(full & ~a, d.matching, sup))]
+    return tuple(a | matching.coloop_mask(full & ~a, d.matching, sup)
+                 for a, d in zip(system.sets, dels))
+
+
+def addable_pairs(system: SetSystem) -> list[tuple[int, int]]:
+    """(set index, element) pairs whose addition preserves the matroid:
+    the bits ``maximal_sets`` adds."""
+    grown = maximal_sets(system, require_full_rank(system).sets,
+                         matching.element_supports(system))
+    return [(i, e) for i, (a, m) in enumerate(zip(system.sets, grown))
+            for e in bit_indices(m & ~a)]
 
 
 def _with_bit(system: SetSystem, i: int, e: int, on: bool) -> SetSystem:
@@ -92,20 +100,21 @@ def _with_bit(system: SetSystem, i: int, e: int, on: bool) -> SetSystem:
 def maximalize(system: SetSystem) -> SetSystem:
     """The greatest presentation of the same matroid above this one.
 
-    Every addable pair is applied in one pass.  Additions keep the
+    Every addable pair is applied in one pass: each set takes the
+    coloops of its deletion (``maximal_sets``).  Additions keep the
     matroid, growing A_i leaves every other set's complement unchanged,
     and coloops of M|(E - A_i) stay coloops after other coloops are
     deleted, so each pair stays addable after the others; and the
     restriction left once all its coloops are deleted has none.
     """
-    sets = list(system.sets)
-    for i, e in addable_pairs(system):
-        sets[i] |= 1 << e
-    return SetSystem(system.ground, tuple(sets))
+    return SetSystem(system.ground, maximal_sets(
+        system, require_full_rank(system).sets,
+        matching.element_supports(system)))
 
 
 def is_maximal(system: SetSystem) -> bool:
-    return not addable_pairs(system)
+    return maximal_sets(system, require_full_rank(system).sets,
+                        matching.element_supports(system)) == system.sets
 
 
 def removable_pairs(system: SetSystem) -> list[tuple[int, int]]:

@@ -338,6 +338,15 @@ def test_charmin_rank_out_of_range_exits_3(capsys, r):
     assert err == "error: charmin checks run for 2 <= r <= 8\n"
 
 
+@pytest.mark.parametrize("suite, r, message", [
+    ("threequarters", "6", "height-bound checks run for 2 <= r <= 5"),
+    ("intersection", "1", "intersection checks run for 2 <= r <= 5"),
+])
+def test_sampled_suite_rank_out_of_range_exits_3(capsys, suite, r, message):
+    assert run(capsys, "verify", suite, "--r", r) == (3, "",
+                                                       f"error: {message}\n")
+
+
 @pytest.mark.parametrize("suite", ["charmin", "threequarters", "intersection"])
 def test_negative_trials_exit_2(capsys, suite):
     with pytest.raises(SystemExit) as err:
@@ -406,6 +415,17 @@ def test_lattice_file_index_outside_r_exits_3(capsys, tmp_path):
     bad.write_text(json.dumps({"r": 3, "sets": [[], [4], [1, 2, 3]]}))
     assert run(capsys, "irreducibles", str(bad)) == (
         3, "", "error: index 4 outside 1..3\n")
+
+
+def test_lattice_file_missing_an_intersection_exits_3(capsys, tmp_path):
+    """The powerset of [14] less {14}: the witness comes off the least
+    map, not from a scan over the 2^27 pairs of members."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": 14, "sets": [
+        [i + 1 for i in range(14) if m >> i & 1]
+        for m in range(1 << 14) if m != 1 << 13]}))
+    assert run(capsys, "irreducibles", str(bad)) == (
+        3, "", "error: intersection of [1, 14] and [2, 14] is missing\n")
 
 
 def test_invalid_input_exits_3(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import json
 import random
-from unittest import mock
+import re
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,8 +33,10 @@ def idx(masks):
 def test_validate_lattice():
     validate_lattice(SAMPLE_R6, 6)
     validate_lattice([0b00, 0b01, 0b10, 0b11], 2)
-    with pytest.raises(ValueError, match="union"):
-        validate_lattice([0b000, 0b001, 0b010, 0b111], 3)
+    # {2} and {3} each lack their union with {1}; the lower mask is named
+    with pytest.raises(ValueError,
+                       match=r"^union of \[1\] and \[2\] is missing$"):
+        validate_lattice([0b000, 0b001, 0b010, 0b100, 0b111], 3)
     with pytest.raises(ValueError,
                        match=r"^intersection of \[1, 2\] and \[2, 3\] is missing$"):
         validate_lattice([0b000, 0b011, 0b110, 0b111], 3)
@@ -399,31 +403,44 @@ def random_families(draw):
     return frozenset(members), r
 
 
+CLOSURE_MESSAGE = re.compile(
+    r"(union|intersection) of (\[[\d, ]*\]) and (\[[\d, ]*\]) is missing")
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(flipped_ideal_lattices(), random_families()))
 def test_validate_lattice_matches_pairwise_oracle(family):
-    """Same verdict and, on a failure, the same first message."""
+    """Same verdict as the pairwise oracle and the same presence and range
+    messages.  A closure message may name another pair than the oracle's
+    first one in frozenset order, but it names two distinct members
+    a < b whose union or intersection is absent."""
     members, r = family
-    assert (_verdict(validate_lattice, members, r)
-            == _verdict(brute_validate_lattice, members, r))
-
-
-def _refuse_pairs(*args):
-    raise AssertionError("a valid lattice reached the pairwise scan")
+    got = _verdict(validate_lattice, members, r)
+    want = _verdict(brute_validate_lattice, members, r)
+    if not (isinstance(want, str) and CLOSURE_MESSAGE.fullmatch(want)):
+        assert got == want
+        return
+    named = CLOSURE_MESSAGE.fullmatch(got)
+    assert named, got
+    a, b = (mask_of(i - 1 for i in json.loads(named[k])) for k in (2, 3))
+    assert a < b and a in members and b in members
+    assert (a | b if named[1] == "union" else a & b) not in members
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(poset_ideal_lattices(), extension_lattices()))
-def test_valid_lattices_skip_the_pairwise_scan(lat):
-    """A closed family passes the linear test; only a failure meets the pairs."""
-    with mock.patch("tmlat.constructions.combinations", _refuse_pairs):
-        assert validate_lattice(lat.members, lat.r).members == lat.members
+def test_valid_lattices_pass_the_least_map_test(lat):
+    assert validate_lattice(lat.members, lat.r).members == lat.members
 
 
-def test_powerset_r14_skips_the_pairwise_scan():
-    powerset = frozenset(range(1 << 14))
-    with mock.patch("tmlat.constructions.combinations", _refuse_pairs):
-        assert validate_lattice(powerset, 14).members == powerset
-    with mock.patch("tmlat.constructions.combinations", _refuse_pairs), \
-            pytest.raises(AssertionError, match="pairwise"):
-        validate_lattice(powerset - {0b11}, 14)
+def test_powerset_r16_less_a_singleton_fails_fast():
+    """A family that fails costs O(|L|·r), as one that passes does: the
+    witness is read off the least map, with no scan over the 2^31 pairs
+    of members."""
+    powerset = frozenset(range(1 << 16))
+    start = time.perf_counter()
+    assert validate_lattice(powerset, 16).members == powerset
+    with pytest.raises(ValueError) as err:
+        validate_lattice(powerset - {1 << 15}, 16)
+    assert time.perf_counter() - start < 20
+    assert str(err.value) == "intersection of [1, 16] and [2, 16] is missing"

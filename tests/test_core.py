@@ -468,3 +468,11 @@ def test_readme_tour_imports_resolve_from_the_package():
     assert all(hasattr(tmlat, name) for name in tmlat.__all__)
     assert not any(isinstance(getattr(tmlat, name), type(tmlat))
                    for name in tmlat.__all__)
+
+
+@pytest.mark.parametrize("r", [-1, 33])
+def test_subset_lattice_refuses_r_outside_its_range(r):
+    """In process, the message the CLI's subprocess tests read."""
+    with pytest.raises(ValueError) as err:
+        SubsetLattice(r, frozenset())
+    assert str(err.value) == f"r = {r} lies outside 0..32"

@@ -49,6 +49,24 @@ def test_extend_basics(u34_first):
         extend(u34_first, 0b1000)
 
 
+@pytest.mark.parametrize("call", [extend, index_closure,
+                                  circuit_support_identity])
+def test_index_sets_outside_the_sets_are_refused(u34_first, call):
+    with pytest.raises(ValueError) as err:
+        call(u34_first, 0b1000)
+    assert str(err.value) == "index set out of range"
+
+
+def test_tight_supports_refuse_more_sets_than_the_scan_limit():
+    r = extlattice.SCAN_LIMIT + 1
+    free = SetSystem(GroundSet(tuple(f"e{i}" for i in range(r))),
+                     tuple(1 << i for i in range(r)))
+    with pytest.raises(ValueError) as err:
+        tight_supports(free)
+    assert str(err.value) == \
+        f"support strategy capped at {extlattice.SCAN_LIMIT} sets"
+
+
 def test_iterated_extend(u34_first):
     assert iterated_extend(u34_first, []) == u34_first
     once = iterated_extend(u34_first, [0b011])

@@ -13,7 +13,7 @@ from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, mask_of)
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import Matroid
-from tmlat.presentations import (is_minimal, presentation_rank,
+from tmlat.presentations import (is_minimal, maximalize, presentation_rank,
                                  reindexing_equivalent, removable_pairs)
 from tmlat.verify import (canonical_family, catalog, catalog_lattice,
                           census_sublattices, check_charmin, check_classification,
@@ -189,6 +189,23 @@ def test_near_uniform_minimal():
         m = Matroid.from_system(system)
         assert m.full_rank == rank
         assert len(m.bases()) == rank + 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closed_family_table(6), "census capped at r = 5"),
+    (lambda: near_uniform_minimal(0), "rank must be positive"),
+    (lambda: sharp_chain_presentation(
+        maximalize(near_uniform_minimal(2)), 1),
+     "base presentation must be minimal"),
+    (lambda: sharp_chain_presentation(near_uniform_minimal(2), 3),
+     "k must lie in 0..r-1"),
+    (lambda: sharp_common_pair(1), "r must be at least 2"),
+], ids=["census", "near-uniform", "non-minimal-base", "k-equals-r",
+        "common-pair"])
+def test_constructors_refuse_their_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_sharp_chain_presentation_heights_and_sizes():
