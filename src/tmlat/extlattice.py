@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from itertools import count
 
 from . import matching
-from .core import (MAX_ELEMENTS, SetSystem, GroundSet, SubsetLattice, bit_indices,
+from .core import (SetSystem, GroundSet, SubsetLattice, bit_indices,
                    family_key, index_texts, least_containing)
 from .matroid import Matroid
-from .presentations import maximal_sets, maximalize, require_full_rank
+from .presentations import maximal_sets, require_full_rank
 
 # The support route walks all 2^r index sets; the scan walks the 2^a
 # subsets of its a active indices and lists up to 2^r members.
@@ -211,44 +211,55 @@ def common_extension_lattice(a: SetSystem, b: SetSystem) -> CommonExtensions:
 
     A transversal matroid has one maximal presentation, up to the order
     of its sets (Bondy; Mason).  So full-rank ``a`` and ``b`` present one
-    matroid exactly when their maximalizations hold the same sets.
+    matroid exactly when their maximal sets agree as sorted tuples.
     Likewise a closed set I of ``a`` and one J of ``b`` describe one
-    extension exactly when ``extend(a, I)`` and ``extend(b, J)``, with
-    the same fresh label, maximalize to the same sets.  So each closed
-    set is keyed by the sorted sets of that maximalization, one
-    ``deletion_reach`` pass per key, and equal keys are paired.  The new
-    element takes one more ground bit, so the ground holds at most 63
-    elements.  The matched index sets form sublattices on both sides,
-    isomorphic via the pairing; matched sets always have equal
+    extension M + x exactly when adjoining x to the sets of I, and to
+    those of J, gives equal maximal sets.  Each closed set is keyed by
+    those sorted sets, read off the pass ``require_full_rank`` caches;
+    x is only the bit ``1 << n`` and is never adjoined.  The maximal
+    set of k in the extension is A'_k joined with the coloops of
+    M'|(E' - A'_k), where M' is the extension and G_k = A_k + coloops
+    of M|(E - A_k) the maximal set of k in M:
+
+    - k in I: A'_k = A_k + x, its deletion is E - A_k, and M' agrees
+      with M there, so the set is G_k + x.
+    - k not in I: I is closed, so I misses reach[k] and x does not
+      augment the matching of E - A_k.  Then x lies in cl(E - A_k) and
+      is no coloop of E - A_k + x, and the walk of
+      ``matching.fundamental_circuit`` from I never meets a free set.
+      A coloop e of M|(E - A_k) lies in every basis, so B_k - e spans
+      E - A_k - e, B_k the basis the pass matched.  So e stays a coloop
+      exactly when x lies in cl(B_k - e): when e is off x's fundamental
+      circuit over B_k, which that walk reads.  The set is G_k less the
+      circuit.
+
+    With I empty, x is a loop and the key is the sorted G itself, which
+    also decides whether the two systems present one matroid.  Equal
+    keys are paired.  The matched index sets form sublattices on both
+    sides, isomorphic via the pairing; matched sets always have equal
     cardinality.  ``verify.check_intersection`` checks that, and an
     independent description by supports tight on both sides, on every
     result.
     """
     if a.ground.names != b.ground.names:
         raise ValueError("presentations live on different ground sets")
-    if a.ground.n >= MAX_ELEMENTS:
-        raise ValueError(f"common extensions take at most {MAX_ELEMENTS - 1} "
-                         "elements: the new element needs one more")
-    require_full_rank(a)
-    require_full_rank(b)
-    if sorted(maximalize(a).sets) != sorted(maximalize(b).sets):
+    grown_a, grown_b = (maximal_sets(s, require_full_rank(s).sets,
+                                     matching.element_supports(s))
+                        for s in (a, b))
+    if sorted(grown_a) != sorted(grown_b):
         raise ValueError("the two systems present different matroids")
-    label = fresh_label(a.ground)
+    xbit = 1 << a.ground.n
 
-    def keys(system: SetSystem) -> dict[int, tuple[int, ...]]:
-        # maximalize(extend(system, i)) from an uncached pass, since no
-        # later call reads it; the new element's support is i itself
-        sup = matching.element_supports(system)
-        out = {}
-        for i in extension_lattice(system).sorted_members():
-            ext = extend(system, i, label)
-            ext_sup = sup + (i,)
-            out[i] = tuple(sorted(maximal_sets(
-                ext, matching.deletion_pass(ext, ext_sup).sets, ext_sup)))
-        return out
+    def keys(system: SetSystem, grown) -> dict[int, tuple[int, ...]]:
+        dels = require_full_rank(system).sets
+        return {i: tuple(sorted(
+                    g | xbit if i >> k & 1 else
+                    g & ~matching.fundamental_circuit(system, d.matching, i)
+                    for k, (g, d) in enumerate(zip(grown, dels))))
+                for i in extension_lattice(system).sorted_members()}
 
-    by_key = {key: j for j, key in keys(b).items()}
-    pairs = tuple((i, by_key[key]) for i, key in keys(a).items()
+    by_key = {key: j for j, key in keys(b, grown_b).items()}
+    pairs = tuple((i, by_key[key]) for i, key in keys(a, grown_a).items()
                   if key in by_key)
     return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
                             SubsetLattice(b.r, frozenset(j for _, j in pairs)),

@@ -15,6 +15,9 @@ would visit.  ``fundamental_circuit`` reads those sets off the matching
 as a closure, without searching: from the fresh element's sets, on to
 every set holding an element matched to a set reached, stopping at the
 first unmatched set, where the search would have succeeded.
+``coloop_mask`` walks the same closure from the sets of the unmatched
+elements: the elements it reaches are the ones some maximum matching
+misses.
 ``deletion_pass`` reads what one maximum matching of E - A_k shows for
 each set k of a system, in one loop per set that grows the matching and
 then reads it in place: the rank of E - A_k and the set indices from
@@ -42,7 +45,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import SetSystem
+from .core import SetSystem, bit_indices
 
 
 @lru_cache(maxsize=4096)
@@ -134,6 +137,27 @@ def _max_matching_owner(system: SetSystem, x_mask: int,
     return owner
 
 
+def _matched_closure(sup: tuple[int, ...], owner: Mapping[int, int],
+                     sets: int) -> int | None:
+    """The elements matched to the sets an alternating walk reaches from
+    ``sets``: each reached set's matched element, then every set holding
+    it.  None when the walk reaches a set ``owner`` leaves unmatched.
+    The walk reads the matching and changes nothing."""
+    seen = todo = sets
+    out = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        e = owner.get(low.bit_length() - 1)
+        if e is None:
+            return None
+        out |= 1 << e
+        new = sup[e] & ~seen
+        seen |= new
+        todo |= new
+    return out
+
+
 def fundamental_circuit(system: SetSystem, independent: Mapping[int, int],
                         adjacency: int) -> int | None:
     """The elements of an independent set on the circuit a fresh element
@@ -147,22 +171,9 @@ def fundamental_circuit(system: SetSystem, independent: Mapping[int, int],
     the union is independent and the answer is None, exactly when one of
     those sets is unmatched.  Otherwise the circuit is the fresh element
     plus the elements matched to the reached sets: the elements it can
-    replace.  The closure reads the matching and changes nothing.
+    replace.
     """
-    sup = element_supports(system)
-    seen = todo = adjacency
-    circuit = 0
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        e = independent.get(low.bit_length() - 1)
-        if e is None:
-            return None
-        circuit |= 1 << e
-        new = sup[e] & ~seen
-        seen |= new
-        todo |= new
-    return circuit
+    return _matched_closure(element_supports(system), independent, adjacency)
 
 
 def max_matching(system: SetSystem, x_mask: int) -> tuple[tuple[int, int], ...]:
@@ -189,29 +200,17 @@ def coloop_mask(x_mask: int, owner: Mapping[int, int],
     element supports.  An element misses some maximum matching exactly
     when it is unmatched or an unmatched element reaches it by an
     alternating path: to a set along a non-matching edge, then on to the
-    element matched to that set.
+    element matched to that set.  A maximum matching leaves no set on
+    such a path unmatched.
     """
     matched = 0
     for e in owner.values():
         matched |= 1 << e
-    seen = frontier = x_mask & ~matched
-    visited = 0
-    while frontier:
-        sets = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            sets |= sup[low.bit_length() - 1]
-        sets &= ~visited
-        visited |= sets
-        while sets:
-            low = sets & -sets
-            sets ^= low
-            # a maximum matching leaves no free set here
-            frontier |= 1 << owner[low.bit_length() - 1]
-        frontier &= ~seen
-        seen |= frontier
-    return x_mask & ~seen
+    free = x_mask & ~matched
+    sets = 0
+    for e in bit_indices(free):
+        sets |= sup[e]
+    return x_mask & ~(free | _matched_closure(sup, owner, sets))
 
 
 class Deletion(NamedTuple):
@@ -274,8 +273,7 @@ def _deletion(system: SetSystem, rest: int, sup: tuple[int, ...],
     return Deletion(len(owner), reach, MappingProxyType(owner))
 
 
-def deletion_pass(system: SetSystem,
-                  sup: tuple[int, ...] | None = None) -> Deletions:
+def deletion_pass(system: SetSystem) -> Deletions:
     """Rank, reach mask and matching of each E - A_k, and the rank and a
     matching of E.
 
@@ -289,11 +287,9 @@ def deletion_pass(system: SetSystem,
     elements of A_0, so the whole pass makes one matching per set.  Each
     matching is kept as a read-only map from set index to element, which
     the cache can hand to every caller unchanged.  The element supports
-    are read once (``sup`` defaults to ``element_supports``).  Coloops
-    are left to the callers that need them, so callers that read only
-    ranks and reaches pay nothing for them.  This is the uncached pass,
-    for systems no later call asks about again; ``deletion_reach``
-    caches it.
+    are read once.  Coloops are left to the callers that need them, so
+    callers that read only ranks and reaches pay nothing for them.
+    ``deletion_reach`` caches the pass.
 
     Inside ``shared_deletions`` each deletion is first looked up in the
     block's table by the system's sets cut down to E - A_k, and only a
@@ -305,8 +301,7 @@ def deletion_pass(system: SetSystem,
     matchings, and the read-only ``Deletion`` is handed to both.  The
     matching of E is grown for each pass on its own.
     """
-    if sup is None:
-        sup = element_supports(system)
+    sup = element_supports(system)
     full = system.ground.full_mask
     index_mask = system.full_index_mask
     table = _shared

@@ -667,23 +667,6 @@ def check_classification(r: int = 4) -> VerdictReport:
     return rep
 
 
-def _hasse_choice(below) -> int:
-    """The pairs (i, j), i covered by j, as bits in the pair order
-    [(i, j) for i in range(k) for j in range(k) if i != j]."""
-    k = len(below)
-    choice = 0
-    for j, under in enumerate(below):
-        deeper = 0  # the points under some point under j
-        rest = under
-        while rest:
-            low = rest & -rest
-            deeper |= below[low.bit_length() - 1]
-            rest ^= low
-        for i in bit_indices(under & ~deeper):
-            choice |= 1 << (i * (k - 1) + j - (j > i))
-    return choice
-
-
 def _all_poset_lattices(max_points: int):
     """Order-ideal lattices of all labeled posets on <= max_points, each once.
 
@@ -691,22 +674,18 @@ def _all_poset_lattices(max_points: int):
     Each order on k + 1 points is made once, from its order on the first k:
     the new point goes over a down-set D and under a disjoint up-set U, and
     D already lies under U; the up-sets are the complements of the
-    down-sets.  Orders of one size come sorted by their Hasse diagrams'
-    pair bits: a walk over every subset of the pairs, closing each one,
-    meets an order first at its Hasse diagram, which is in every
-    generating subset.
+    down-sets.
     """
     level = [()]
     for k in range(max_points + 1):
-        ideals = {below: ideal_lattice(below) for below in level}
-        for below in sorted(level, key=_hasse_choice):
-            yield ideals[below]
+        lattices = [ideal_lattice(below) for below in level]
+        yield from lattices
         if k == max_points:
             return
         point = 1 << k
         grown = []
-        for below in level:
-            members = ideals[below].members
+        for below, lat in zip(level, lattices):
+            members = lat.members
             for down in members:
                 # U may hold only points over all of D; none of those
                 # lies in D, so such a U is disjoint from D too

@@ -29,7 +29,7 @@ nothing visited and re-enters sets a deeper call already visited;
 the deletion pass makes each matching through ``_max_matching_owner``
 and reads each reach by a separate fixpoint call; circuits shrink by
 one rank query per element; common extensions compare the bases of
-every extension.  The basis exchange axiom is
+every extension, or the maximal presentations of the extended systems.  The basis exchange axiom is
 scanned over every pair of bases and every element of their difference.
 A matroid's circuits come from a scan of all 2^n subsets, and its
 hyperplanes and cyclic flats from closing every independent set of
@@ -52,13 +52,14 @@ from types import MappingProxyType
 
 from tmlat import matching
 from tmlat.constructions import ideals_of_poset
-from tmlat.extlattice import (CommonExtensions, extend, extension_matroids,
-                              fresh_label)
+from tmlat.extlattice import (CommonExtensions, extend, extension_lattice,
+                              extension_matroids, fresh_label)
 from tmlat.core import (GroundSet, SetSystem, SubsetLattice, bit_indices,
                         family_key, index_list, lattice_doc, mask_of)
 from tmlat.matroid import ENUM_LIMIT, Matroid, _cocircuit_search
 from tmlat.presentations import (MINIMAL_BUDGET, _with_bit, is_maximal,
-                                 preceq, removable_pairs, require_full_rank)
+                                 maximalize, preceq, removable_pairs,
+                                 require_full_rank)
 from tmlat.verify import closed_family_table, family_members
 
 
@@ -284,6 +285,30 @@ def brute_common_extension_lattice(a, b):
     return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
                             SubsetLattice(b.r, frozenset(j for _, j in pairs)),
                             tuple(sorted(pairs, key=lambda p: family_key(p[0]))))
+
+
+def adjoined_common_extension_lattice(a, b):
+    """Common extensions keyed by adjoining the new element: each closed
+    set I is keyed by the sorted sets of ``maximalize(extend(system, I))``,
+    one matching pass per extended system, and equal keys are paired."""
+    if a.ground.names != b.ground.names:
+        raise ValueError("presentations live on different ground sets")
+    require_full_rank(a)
+    require_full_rank(b)
+    if sorted(maximalize(a).sets) != sorted(maximalize(b).sets):
+        raise ValueError("the two systems present different matroids")
+    label = fresh_label(a.ground)
+
+    def keys(system):
+        return {i: tuple(sorted(maximalize(extend(system, i, label)).sets))
+                for i in extension_lattice(system).sorted_members()}
+
+    by_key = {key: j for j, key in keys(b).items()}
+    pairs = tuple((i, by_key[key]) for i, key in keys(a).items()
+                  if key in by_key)
+    return CommonExtensions(SubsetLattice(a.r, frozenset(i for i, _ in pairs)),
+                            SubsetLattice(b.r, frozenset(j for _, j in pairs)),
+                            pairs)
 
 
 def brute_basis_exchange(bases) -> bool:

@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmlat import core
 from tmlat.cli import main
 from tmlat.constructions import validate_lattice
-from tmlat.core import (GroundSet, SetSystem, mask_of, parse_lattice,
-                        parse_presentation, presentation_doc)
+from tmlat.core import (GroundSet, SetSystem, index_list, mask_of,
+                        parse_lattice, parse_presentation, presentation_doc)
 from tmlat.extlattice import common_extension_lattice, extension_lattice
 from tmlat.matroid import parse_matroid
 from tmlat.presentations import reindexing_equivalent
 from tmlat.verify import presentation_walk
+
+from .oracles import adjoined_common_extension_lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -598,6 +601,26 @@ def test_matroid_labels_other_than_strings_and_integers_are_refused(label,
                                "labels are strings or integers")
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("maximalize", {"ground": ["a"]},
+     "presentation document needs 'ground' and 'sets'"),
+    ("maximalize", {"ground": ["a"], "sets": []}, "empty 'sets' list"),
+    ("irreducibles", {"sets": [[1]]}, "lattice document needs 'r' and 'sets'"),
+    ("ideals", {"points": 2}, "poset document needs 'points' and 'less'"),
+])
+def test_documents_missing_a_field_exit_3(capsys, tmp_path, command, doc,
+                                          message):
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert run(capsys, command, str(file)) == (3, "", f"error: {message}\n")
+
+
+def test_matroid_document_needs_ground_and_bases():
+    with pytest.raises(ValueError) as info:
+        parse_matroid({"ground": ["a"]})
+    assert str(info.value) == "matroid document needs 'ground' and 'bases'"
+
+
 def test_integer_labels_name_their_decimal_strings(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"ground": [1, "b"], "sets": [["1"], [1, "b"]]}))
@@ -685,16 +708,32 @@ def test_intersect_rank_deficient_input_gets_the_rank_message(capsys, tmp_path):
     assert run(capsys, "intersect", str(other), str(short)) == (3, "", want)
 
 
-def test_intersect_refuses_64_elements(capsys, tmp_path):
-    """The new element of an extension would need a 65th ground bit."""
+def test_intersect_takes_64_elements(capsys, tmp_path, monkeypatch):
+    """The new element is never adjoined, so a full ground is no bar.  The
+    oracle adjoins it, so the cap is lifted for the oracle alone."""
     doc = {"ground": [f"e{i}" for i in range(64)],
            "sets": [[f"e{i}" for i in range(k, 64, 2)] for k in range(2)]}
     pres = tmp_path / "wide.json"
     pres.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "intersect", str(pres), str(pres))
-    assert (code, out) == (3, "")
-    assert err == ("error: common extensions take at most 63 elements: "
-                   "the new element needs one more\n")
+    rng = random.Random(3)
+    a = SetSystem(GroundSet(tuple(doc["ground"])), tuple(
+        1 << i | mask_of(e for e in range(4, 64) if rng.random() < 0.1)
+        for i in range(4)))
+    b = presentation_walk(a, 12, rng)
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for file, system in zip(files, (a, b)):
+        file.write_text(json.dumps(presentation_doc(system)))
+    cases = [((pres, pres), (parse_presentation(doc),) * 2),
+             (files, (a, b))]
+    for argv, systems in cases:
+        code, out, err = run(capsys, "intersect", *map(str, argv))
+        assert (code, err) == (0, "")
+        with monkeypatch.context() as m:
+            m.setattr(core, "MAX_ELEMENTS", 65)
+            want = adjoined_common_extension_lattice(*systems).pairs
+        assert json.loads(out)["pairs"] == [[index_list(i), index_list(j)]
+                                            for i, j in want]
+    assert len(want) > 2
 
 
 def test_intersect_thirty_elements_in_under_a_second(capsys, tmp_path):

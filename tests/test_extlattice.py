@@ -16,12 +16,13 @@ from tmlat.extlattice import (common_extension_lattice, extend,
                               fresh_label, hasse_dot, index_closure,
                               irreducibles, least_map, tight_supports)
 from tmlat.matroid import Matroid
-from tmlat.presentations import _with_bit, preceq
+from tmlat.presentations import _with_bit, preceq, require_full_rank
 from tmlat.verify import (_all_poset_lattices, circuit_support_identity,
                           disjoint_support_pair, presentation_walk,
                           random_presentation, sharp_common_pair)
 
-from .oracles import (brute_circuit_through, brute_closed_sets,
+from .oracles import (adjoined_common_extension_lattice,
+                      brute_circuit_through, brute_closed_sets,
                       brute_common_extension_lattice, brute_reach,
                       brute_tight_supports, cyclic_flat_supports,
                       intersection_closure, is_cyclic, iterated_extend)
@@ -622,6 +623,30 @@ def test_common_extensions_match_the_bases_route(pair):
     assert common_extension_lattice(a, b) == brute_common_extension_lattice(a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(r, 12), st.floats(0.3, 0.9),
+    st.integers(0, 2 ** 32 - 1), st.integers(1, 6))))
+def test_common_extensions_match_the_adjoined_route(case):
+    """Seeded random presentations and walks away from them, r <= 6 and
+    n <= 12: the keys read off each side's cached pass pair the closed
+    sets as keying each adjoined extension's maximalization does."""
+    r, n, density, seed, steps = case
+    rng = random.Random(seed)
+    a = random_presentation(r, n, density, rng=rng)
+    b = presentation_walk(a, steps, rng)
+    common = common_extension_lattice(a, b)
+    event(f"{len(common.pairs)} pairs")
+    assert common == adjoined_common_extension_lattice(a, b)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_sharp_families_match_the_adjoined_route(r):
+    for a, b in (sharp_common_pair(r), disjoint_support_pair(r)):
+        assert common_extension_lattice(a, b) == \
+            adjoined_common_extension_lattice(a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(presentations(), st.data())
 def test_fundamental_circuits_match_the_rank_shrink(system, data):
@@ -642,13 +667,21 @@ def test_fundamental_circuits_match_the_rank_shrink(system, data):
 
 def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
                                                               meet_pair, pair18):
-    """Nor does it enumerate bases or hyperplanes of the matroid."""
+    """Nor does it enumerate bases or hyperplanes of the matroid, adjoin
+    an element, build a system or run a pass beyond its inputs' own."""
     pairs = [meet_pair, sharp_common_pair(4), disjoint_support_pair(3), pair18]
     want = [brute_common_extension_lattice(a, b) for a, b in pairs]
+    for system in {s for pair in pairs for s in pair}:
+        require_full_rank(system)
 
-    def refuse(*args):
-        raise AssertionError("extension matroid or derived family built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("extension matroid, derived family or extended "
+                             "system built")
 
+    monkeypatch.setattr(extlattice, "extend", refuse)
+    monkeypatch.setattr(extlattice, "fresh_label", refuse)
+    monkeypatch.setattr(matching, "deletion_pass", refuse)
+    monkeypatch.setattr(SetSystem, "__post_init__", refuse)
     monkeypatch.setattr(extlattice, "extension_matroids", refuse)
     monkeypatch.setattr(matching, "independent_sets", refuse)  # basis walks
     monkeypatch.setattr(Matroid, "bases", refuse)
@@ -658,7 +691,7 @@ def test_common_extension_lattice_builds_no_extension_matroid(monkeypatch,
 
 
 def test_common_extensions_cache_only_their_inputs(pair18):
-    """Each extended system's pass is uncached: no later call reads it."""
+    """No extended system is built: each key reads its side's own pass."""
     matching.deletion_reach.cache_clear()
     matching.element_supports.cache_clear()
     common_extension_lattice(*pair18)
