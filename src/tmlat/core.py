@@ -120,22 +120,20 @@ class GroundSet:
 
     names: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    # sizes read in every matching pass, stored rather than derived per read
+    n: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {s: i for i, s in enumerate(self.names)}
-        if len(index) != len(self.names):
+        n = len(self.names)
+        if len(index) != n:
             raise ValueError("duplicate ground labels")
-        if len(self.names) > MAX_ELEMENTS:
+        if n > MAX_ELEMENTS:
             raise ValueError(f"ground set larger than {MAX_ELEMENTS} elements")
         object.__setattr__(self, "_index", index)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full_mask", (1 << n) - 1)
 
     def index(self, name: str) -> int:
         try:
@@ -157,11 +155,14 @@ class SetSystem:
     ground: GroundSet
     sets: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    r: int = field(init=False, repr=False, compare=False)
+    full_index_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.sets) < 1:
+        r = len(self.sets)
+        if r < 1:
             raise ValueError("a set system needs at least one set")
-        if len(self.sets) > MAX_SETS:
+        if r > MAX_SETS:
             raise ValueError(f"more than {MAX_SETS} sets")
         full = self.ground.full_mask
         for a in self.sets:
@@ -170,17 +171,11 @@ class SetSystem:
         # systems key the matching caches, so each lookup hashes one; the
         # generated hash would rehash every ground label each time
         object.__setattr__(self, "_hash", hash((self.ground, self.sets)))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "full_index_mask", (1 << r) - 1)
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def r(self) -> int:
-        return len(self.sets)
-
-    @property
-    def full_index_mask(self) -> int:
-        return (1 << self.r) - 1
 
     def support(self, x_mask: int) -> int:
         """Indices of the sets that meet ``x_mask``."""

@@ -8,7 +8,8 @@ queries use augmenting paths with deterministic tie-breaking (elements
 ascending, lowest-index set first), so returned matchings are
 reproducible.  A search never enters a set twice, and the sets a failed
 search visited stay skipped until the next augmentation: no alternating
-path leaves them while the matching stands.
+path leaves them while the matching stands.  Once every set is matched
+no search starts: an augmenting path would end at an unmatched set.
 A failed search from a fresh element over a matched independent set
 also names its fundamental circuit: the elements matched to the sets it
 would visit.  ``fundamental_circuit`` reads those sets off the matching
@@ -25,14 +26,15 @@ which an augmenting path exists; the same pass grows the first of those
 matchings into one of E for the rank of the whole system.  The pass
 keeps every one of those matchings, read-only, so a caller that needs
 a basis of E or of some E - A_k reads it there, and a caller that needs
-the coloops of M|(E - A_k) reads them off it with ``coloop_mask``.
+the coloops of M|(E - A_k) reads them off it with ``deletion_coloops``.
 ``deletion_reach`` memoizes the pass.  Inside a ``shared_deletions``
 block, passes over many systems share their deletions: one E - A_k is
-matched once however many systems cut their sets down to the same sets
-on it, and the block's table is dropped when the block ends.  Closure
-scans, the moves between presentations, the full-rank check and the
-circuit-support certificate reduce to reading those numbers, bit tests
-against those masks, and closures over those matchings.
+matched once, and its coloops are read once, however many systems cut
+their sets down to the same sets on it, and the block's state is
+dropped when the block ends.  Closure scans, the moves between
+presentations, the full-rank check and the circuit-support certificate
+reduce to reading those numbers, bit tests against those masks, and
+closures over those matchings.
 ``max_matching`` hands a matching out as its sorted (element, set
 index) pairs.
 """
@@ -123,13 +125,18 @@ def _max_matching_owner(system: SetSystem, x_mask: int,
     every alternating path from them ends inside them; later searches
     skip them, which changes no path found.  Elements go in ascending
     order.  ``sup`` defaults to ``element_supports(system)``.
+
+    The loop stops once every set is matched.  An augmenting path ends
+    at an unmatched set (Berge), so every later search would fail and
+    leave ``owner`` as it is: the matching returned is the same.
     """
     if sup is None:
         sup = element_supports(system)
     if owner is None:
         owner = {}
     dead = [0]
-    while x_mask:
+    r = system.r
+    while x_mask and len(owner) < r:
         low = x_mask & -x_mask
         x_mask ^= low
         if _augment_rec(sup, owner, low.bit_length() - 1, dead):
@@ -217,7 +224,7 @@ class Deletion(NamedTuple):
     """What a maximum matching of E - A_k shows about M|(E - A_k).
 
     The coloops of M|(E - A_k) are not kept: a caller that needs them
-    reads ``coloop_mask(full & ~A_k, matching, sup)`` off the matching.
+    reads them off the matching with ``deletion_coloops``.
     """
 
     rank: int
@@ -234,25 +241,58 @@ class Deletions(NamedTuple):
     matching: Mapping[int, int]  # set index to element
 
 
-# Deletions already computed, by their sets cut down to E - A_k, while
-# ``shared_deletions`` is active; None outside it.
-_shared: dict[tuple[int, ...], Deletion] | None = None
+class _Block(NamedTuple):
+    """What one ``shared_deletions`` block has computed, each by a
+    system's sets cut down to some E - A_k."""
+
+    deletions: dict[tuple[int, ...], Deletion]
+    coloops: dict[tuple[int, ...], int]  # read only by ``deletion_coloops``
+
+
+# The state of the active ``shared_deletions`` block; None outside one.
+_shared: _Block | None = None
 
 
 @contextmanager
 def shared_deletions():
-    """Let every ``deletion_pass`` run inside the block share deletions.
+    """Let every ``deletion_pass`` run inside the block share deletions,
+    and every ``deletion_coloops`` share coloops.
 
-    A fresh table is installed on entry and the previous one restored
-    on exit, raised or not, so the table never outlives the block and
-    no later call reads what the block computed.
+    A fresh, empty state is installed on entry and the previous one
+    restored on exit, raised or not, so the state never outlives the
+    block and no later call reads what the block computed.
     """
     global _shared
-    saved, _shared = _shared, {}
+    saved, _shared = _shared, _Block({}, {})
     try:
         yield
     finally:
         _shared = saved
+
+
+def deletion_coloops(system: SetSystem, rest: int, deletion: Deletion,
+                     sup: tuple[int, ...]) -> int:
+    """The coloops of M|rest, for ``rest`` = E - A_k and ``deletion`` the
+    pass's ``Deletion`` of set k: ``coloop_mask(rest, deletion.matching,
+    sup)``.
+
+    Inside ``shared_deletions`` they are computed once per key of the
+    block, the system's sets cut down to ``rest``.  ``coloop_mask``
+    reads ``sup[e]`` only for e in ``rest``, and there ``sup[e]`` is the
+    set of indices whose cut-down set holds e, which the key records.
+    An element of ``rest`` in no set is unmatched, so never a coloop.
+    The key fixes the matching too (see ``deletion_pass``), so two
+    systems with equal keys have equal coloops.  Outside a block
+    nothing is kept.
+    """
+    block = _shared
+    if block is None:
+        return coloop_mask(rest, deletion.matching, sup)
+    key = tuple([b & rest for b in system.sets])
+    c = block.coloops.get(key)
+    if c is None:
+        c = block.coloops[key] = coloop_mask(rest, deletion.matching, sup)
+    return c
 
 
 def _deletion(system: SetSystem, rest: int, sup: tuple[int, ...],
@@ -292,8 +332,8 @@ def deletion_pass(system: SetSystem) -> Deletions:
     ``deletion_reach`` caches the pass.
 
     Inside ``shared_deletions`` each deletion is first looked up in the
-    block's table by the system's sets cut down to E - A_k, and only a
-    key not yet there is matched.  That key fixes the deletion: the
+    block's deletions by the system's sets cut down to E - A_k, and only
+    a key not yet there is matched.  That key fixes the deletion: the
     matching walks the elements of E - A_k in ascending order along the
     sets that hold them, which the key records index by index, and an
     element of E - A_k in no set never matches.  So two systems, or two
@@ -304,7 +344,7 @@ def deletion_pass(system: SetSystem) -> Deletions:
     sup = element_supports(system)
     full = system.ground.full_mask
     index_mask = system.full_index_mask
-    table = _shared
+    table = None if _shared is None else _shared.deletions
     dels = []
     for a in system.sets:
         rest = full & ~a

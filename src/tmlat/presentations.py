@@ -71,11 +71,13 @@ def maximal_sets(system: SetSystem, dels, sup) -> tuple[int, ...]:
     ``dels`` holds the matching pass's ``Deletion`` of each set and
     ``sup`` the element supports.  Adding e to the i-th set keeps the
     matroid exactly when e is a coloop of the deletion of that set,
-    which ``coloop_mask`` reads off the matching of that deletion the
-    pass keeps.
+    which ``matching.deletion_coloops`` reads off the matching of that
+    deletion the pass keeps: inside a ``matching.shared_deletions``
+    block once for every system that cuts its sets down to the same
+    sets there, outside a block afresh.
     """
     full = system.ground.full_mask
-    return tuple(a | matching.coloop_mask(full & ~a, d.matching, sup)
+    return tuple(a | matching.deletion_coloops(system, full & ~a, d, sup)
                  for a, d in zip(system.sets, dels))
 
 

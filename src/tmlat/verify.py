@@ -172,9 +172,10 @@ def _perm_tables(r: int) -> tuple[tuple[int, ...], ...]:
 def canonical_family(fmask: int, r: int) -> int:
     """Least relabeling of a family under coordinate permutations."""
     best = None
+    members = bit_indices(fmask)
     for remap in _perm_tables(r):
         g = 0
-        for m in bit_indices(fmask):
+        for m in members:
             g |= 1 << remap[m]
         if best is None or g < best:
             best = g
@@ -741,11 +742,12 @@ def check_roundtrip(max_points: int = 4) -> VerdictReport:
 
     The builds' matching passes run inside one
     ``matching.shared_deletions`` block, so a deletion E - A_k that
-    several builds cut down to the same sets is matched once; the
-    uniform builds at n = r + 1 and r + 2 only add elements lying in
-    every set, so they share all of theirs with the build at n = r.
-    Each build is still checked on its own pass, through ``least_map``
-    and ``is_maximal``, and the table ends with the call.
+    several builds cut down to the same sets is matched once, and
+    ``is_maximal`` reads its coloops once; the uniform builds at
+    n = r + 1 and r + 2 only add elements lying in every set, so they
+    share all of their deletions with the build at n = r.  Each build is
+    still checked on its own pass, through ``least_map`` and
+    ``is_maximal``, and the block's state ends with the call.
     """
     t0 = time.perf_counter()
     rep = VerdictReport("roundtrip")

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -36,6 +37,25 @@ def test_ground_set_basics():
         g.index("z")
     with pytest.raises(ValueError):
         GroundSet(("a", "a"))
+
+
+def test_stored_sizes_follow_the_lengths_after_replace():
+    """``n``, ``full_mask``, ``r`` and ``full_index_mask`` are stored at
+    construction, so a copy made by ``dataclasses.replace`` stores its
+    own; none of them takes part in equality or the hash."""
+    g = GroundSet(("a", "b", "c"))
+    system = SetSystem(g, (0b011, 0b110))
+    wider = dataclasses.replace(g, names=("a", "b", "c", "d", "e"))
+    more = dataclasses.replace(system, ground=wider,
+                               sets=(0b00011, 0b00110, 0b11000))
+    for ground in (g, wider):
+        assert (ground.n, ground.full_mask) == \
+            (len(ground.names), (1 << len(ground.names)) - 1)
+    for s in (system, more):
+        assert (s.r, s.full_index_mask) == (len(s.sets), (1 << len(s.sets)) - 1)
+    assert dataclasses.replace(system) == system
+    assert hash(dataclasses.replace(system)) == hash(system)
+    assert repr(g) == "GroundSet(names=('a', 'b', 'c'))"
 
 
 def test_set_system_refuses_no_sets_and_bits_outside_the_ground():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tmlat import matching
 from tmlat.core import GroundSet, SetSystem, bit_indices, make_system
+from tmlat.presentations import maximal_sets
 
 from .oracles import (brute_max_matching_owner, brute_rank, counting_independent,
                       pass_fields, reference_deletion_pass)
@@ -314,16 +315,59 @@ def test_shared_deletions_equal_the_unshared_pass(system, data):
         assert all(map(operator.is_, shared[0].sets, other.sets))
 
 
+def with_idle_elements(system, extra):
+    """``system`` with ``extra`` new elements, each lying in no set."""
+    n = system.ground.n
+    names = system.ground.names + tuple(f"e{i}" for i in range(n, n + extra))
+    return SetSystem(GroundSet(names), system.sets)
+
+
+def with_later_sets_widened(system):
+    """``system`` with every set after the first widened to the whole
+    ground: the first set keeps its deletion E - A_0, but the other
+    sets cut down to all of it.  Still full rank, as n >= r."""
+    full = system.ground.full_mask
+    return SetSystem(system.ground,
+                     system.sets[:1] + (full,) * (system.r - 1))
+
+
+def maximal_sets_of(system):
+    return maximal_sets(system, matching.deletion_pass(system).sets,
+                        matching.element_supports(system))
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_systems(max_r=6, max_n=10), st.data())
+def test_maximal_sets_are_the_same_inside_and_outside_a_block(system, data):
+    """Under one block, a system, its copies with an element added to
+    every set or to none, and a copy whose first deletion keeps E - A_0
+    but cuts the other sets down differently, read in any order, each
+    get the maximal sets they get with no block.  The first three share
+    every key, so they share every coloop read; the last shares E - A_0
+    alone, and must not share its coloops."""
+    systems = data.draw(st.permutations(
+        [system, with_added_elements(system, 1), with_idle_elements(system, 1),
+         with_idle_elements(with_added_elements(system, 1), 2),
+         with_later_sets_widened(system)]))
+    with matching.shared_deletions():
+        inside = [maximal_sets_of(s) for s in systems]
+    assert inside == [maximal_sets_of(s) for s in systems]
+
+
 def test_the_shared_table_lives_only_inside_its_block():
-    """Each block installs a fresh table and restores the one before it,
-    also when the block raises."""
+    """Each block installs a fresh, empty state and restores the one
+    before it, also when the block raises; what the outer block computed
+    is not seen inside the inner one."""
+    system = make_system("abc", ["ab", "bc"])
     assert matching._shared is None
     with matching.shared_deletions():
         outer = matching._shared
-        assert outer == {}
+        assert outer == matching._Block({}, {})
+        maximal_sets_of(system)
+        assert outer.deletions and outer.coloops
         with pytest.raises(RuntimeError):
             with matching.shared_deletions():
-                assert matching._shared == {}
+                assert matching._shared == matching._Block({}, {})
                 assert matching._shared is not outer
                 raise RuntimeError
         assert matching._shared is outer
